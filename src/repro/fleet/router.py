@@ -122,6 +122,7 @@ class FleetRouter:
         self._batch_seq = 0
         self._heartbeat_seq = 0
         self._started = False
+        self._stopping = False
         # an event becomes an orphan only when every node is gone; kept
         # (not dropped) so a post-mortem can account for it
         self._orphans: list[_Event] = []
@@ -141,6 +142,7 @@ class FleetRouter:
         """Connect to every configured node and start routing."""
         if self._started:
             return self
+        self._stopping = False
         for address in self.config.nodes:
             client = _NodeClient(
                 address, max_inflight=self.config.max_inflight_batches
@@ -171,6 +173,9 @@ class FleetRouter:
                 await self.drain(timeout=self.config.drain_timeout_seconds)
             except FleetError:
                 pass  # stopping a degraded fleet must still stop it
+        # Python 3.11's wait_for can swallow a cancel that lands as its
+        # inner read completes; the flag ends the heartbeat loop anyway
+        self._stopping = True
         tasks = [self._flusher_task]
         for client in self._clients.values():
             tasks.extend((client.reader_task, client.heartbeat_task))
@@ -428,10 +433,10 @@ class FleetRouter:
         """
         reader: asyncio.StreamReader | None = None
         writer: asyncio.StreamWriter | None = None
-        while client.alive:
+        while client.alive and not self._stopping:
             await asyncio.sleep(self.config.heartbeat_interval_seconds)
-            if not client.alive:
-                return
+            if not client.alive or self._stopping:
+                break
             self._heartbeat_seq += 1
             try:
                 if writer is None:

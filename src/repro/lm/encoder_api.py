@@ -15,7 +15,7 @@ from repro.lm.model import CommandLineLM
 from repro.lm.pooling import POOLERS, pool
 from repro.nn.inference import InferencePlan
 from repro.nn.module import no_grad
-from repro.tokenizer.bpe import BPETokenizer
+from repro.tokenizer.bpe import BPETokenizer, Encoding
 
 
 class CommandEncoder:
@@ -103,9 +103,10 @@ class CommandEncoder:
             raise ValueError(f"unknown pooling {strategy!r}; choose from {POOLERS}")
         if not lines:
             return np.zeros((0, self.embedding_dim))
-        # Length-bucketed batching: embedding in length order avoids
-        # padding every batch to the corpus-wide maximum.
-        order = sorted(range(len(lines)), key=lambda i: len(lines[i]))
+        encodings = self._encode(lines)
+        # Token-length-bucketed batching: each chunk pads only to its own
+        # longest row, not to the corpus-wide maximum.
+        order = sorted(range(len(lines)), key=lambda i: len(encodings[i]))
         plan = self._plan
         result = np.empty(
             (len(lines), self.embedding_dim),
@@ -114,14 +115,14 @@ class CommandEncoder:
         if plan is not None:
             for start in range(0, len(order), self.batch_size):
                 chunk_indices = order[start : start + self.batch_size]
-                ids, mask = self._encode_batch([lines[i] for i in chunk_indices])
+                ids, mask = self._pad([encodings[i] for i in chunk_indices])
                 # assignment copies the scratch view before the next chunk
                 result[chunk_indices] = plan.pooled(ids, mask, strategy)
             return result
         with no_grad(self.model):
             for start in range(0, len(order), self.batch_size):
                 chunk_indices = order[start : start + self.batch_size]
-                ids, mask = self._encode_batch([lines[i] for i in chunk_indices])
+                ids, mask = self._pad([encodings[i] for i in chunk_indices])
                 hidden = self.model(ids, mask)
                 result[chunk_indices] = pool(hidden, mask, strategy).data
         return result
@@ -131,13 +132,12 @@ class CommandEncoder:
 
         The columnar twin of :meth:`embed`: consumes the padded id
         matrix directly instead of re-tokenizing per line.  Chunking
-        replicates :meth:`embed` exactly — a stable sort on the source
-        lines' *character* lengths, ``batch_size`` rows per forward
-        pass, each chunk padded to its own max token width — so for the
-        same lines the two paths produce **bitwise-identical**
-        embeddings (chunk composition changes the blocked-summation
-        grouping inside BLAS, so replicating it is part of the
-        contract, not an optimization).
+        replicates :meth:`embed` exactly — a stable sort on the rows'
+        token lengths, ``batch_size`` rows per forward pass, each chunk
+        padded to its own max token width — so for the same lines the
+        two paths produce **bitwise-identical** embeddings (chunk
+        composition changes the blocked-summation grouping inside BLAS,
+        so replicating it is part of the contract, not an optimization).
         """
         strategy = pooling or self.pooling
         if strategy not in POOLERS:
@@ -145,7 +145,7 @@ class CommandEncoder:
         n = len(batch)
         if n == 0:
             return np.zeros((0, self.embedding_dim))
-        order = np.argsort(batch.char_lengths, kind="stable")
+        order = np.argsort(batch.lengths, kind="stable")
         plan = self._plan
         result = np.empty(
             (n, self.embedding_dim),
@@ -182,10 +182,15 @@ class CommandEncoder:
         return hidden.data[0, mask[0]]
 
     def _encode_batch(self, lines: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        return self._pad(self._encode(lines))
+
+    def _encode(self, lines: Sequence[str]) -> list[Encoding]:
         max_len = self.model.config.max_position
-        encodings = [
+        return [
             self.tokenizer.encode(line, add_special_tokens=True, max_length=max_len) for line in lines
         ]
+
+    def _pad(self, encodings: Sequence[Encoding]) -> tuple[np.ndarray, np.ndarray]:
         width = max(len(e) for e in encodings)
         vocab = self.tokenizer.vocab
         assert vocab is not None

@@ -37,6 +37,7 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolEx
 from functools import partial
 
 from repro.errors import ReproError
+from repro.serving.config import BackendConfig
 from repro.serving.frames import FRAME_TRANSPORTS, publish_frame, retire_frame
 
 #: A picklable zero-argument callable producing a fitted service
@@ -66,7 +67,7 @@ def load_bundle(directory: str) -> object:
     return IntrusionDetectionService.load(directory)
 
 
-def load_bundle_compiled(directory: str, precision: str = "float64") -> object:
+def load_bundle_compiled(directory: str, precision: str = BackendConfig.precision) -> object:
     """Load a bundle and compile its LM into an inference plan.
 
     The compiled twin of :func:`load_bundle` — the loader the server

@@ -368,15 +368,19 @@ class BackendConfig:
     compiler doesn't cover fall back to the Tensor path automatically,
     and ``compiled = false`` is byte-identical to the pre-compilation
     pipeline.  ``precision`` selects the plan's arithmetic:
-    ``"float64"`` (default) is bitwise-identical to the Tensor path,
-    ``"float32"`` trades ~1e-6 score drift for several-fold throughput.
+    ``"float32"`` (default) scores within ~1e-6 of the Tensor path with
+    the same verdicts at several-fold the throughput; ``"float64"`` is
+    the opt-in bitwise mode, identical to the Tensor path bit for bit.
+    This field is the one place the serving default is spelled out —
+    the ``precision=`` keywords of :class:`DetectionServer` and
+    :func:`~repro.serving.backends.load_bundle_compiled` read it.
     """
 
     kind: str = "auto"
     workers: int = 1
     transport: str = "auto"
     compiled: bool = True
-    precision: str = "float64"
+    precision: str = "float32"
 
     def __post_init__(self):
         _as_choice(self.kind, "backend.kind", BACKEND_KINDS)

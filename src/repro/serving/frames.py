@@ -3,8 +3,8 @@
 ``ProcessPoolBackend`` used to pickle a list of strings per shard per
 batch — every worker dispatch re-serialized the batch's text and every
 worker re-tokenized it.  With the columnar hot path the batch is already
-three contiguous int64 arrays (ids, lengths, char lengths), so the
-cheapest transport is to publish them **once** into a
+two contiguous int64 arrays (ids, lengths), so the cheapest transport
+is to publish them **once** into a
 :class:`multiprocessing.shared_memory.SharedMemory` segment and send
 workers only a tiny picklable :class:`BatchFrame` descriptor (segment
 name, shapes, row range).  Workers attach, score their row slice through
@@ -52,9 +52,8 @@ class BatchFrame:
 
     ``shm_name`` names the shared-memory segment holding the arrays
     (``None`` for the pickle transport, where ``payload`` carries the
-    raw bytes instead).  The segment layout is three back-to-back int64
-    regions: ``ids`` (``rows * width``), ``lengths`` (``rows``), and
-    ``char_lengths`` (``rows``).
+    raw bytes instead).  The segment layout is two back-to-back int64
+    regions: ``ids`` (``rows * width``) and ``lengths`` (``rows``).
     """
 
     rows: int
@@ -67,7 +66,7 @@ class BatchFrame:
     @property
     def items(self) -> int:
         """Total int64 slots the frame's buffer holds."""
-        return self.rows * self.width + 2 * self.rows
+        return self.rows * self.width + self.rows
 
 
 def publish_frame(batch: TokenBatch, generation: int, transport: str = "auto"):
@@ -89,7 +88,6 @@ def publish_frame(batch: TokenBatch, generation: int, transport: str = "auto"):
             (
                 np.ascontiguousarray(batch.ids, dtype=np.int64).tobytes(),
                 np.ascontiguousarray(batch.lengths, dtype=np.int64).tobytes(),
-                np.ascontiguousarray(batch.char_lengths, dtype=np.int64).tobytes(),
             )
         )
         frame = BatchFrame(
@@ -97,12 +95,11 @@ def publish_frame(batch: TokenBatch, generation: int, transport: str = "auto"):
             generation=generation, payload=payload,
         )
         return frame, None
-    items = rows * width + 2 * rows
+    items = rows * width + rows
     segment = _shm.SharedMemory(create=True, size=items * 8)
     buffer = np.frombuffer(segment.buf, dtype=np.int64, count=items)
     buffer[: rows * width] = batch.ids.reshape(-1)
-    buffer[rows * width : rows * width + rows] = batch.lengths
-    buffer[rows * width + rows :] = batch.char_lengths
+    buffer[rows * width :] = batch.lengths
     del buffer  # drop the exported-buffer reference before handing off
     frame = BatchFrame(
         rows=rows, width=width, pad_id=batch.pad_id,
@@ -151,8 +148,7 @@ def open_frame(frame: BatchFrame):
     split = frame.rows * frame.width
     batch = TokenBatch(
         ids=buffer[:split].reshape(frame.rows, frame.width),
-        lengths=buffer[split : split + frame.rows],
-        char_lengths=buffer[split + frame.rows :],
+        lengths=buffer[split:],
         pad_id=frame.pad_id,
     )
 

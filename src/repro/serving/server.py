@@ -296,7 +296,7 @@ class DetectionServer:
         columnar: bool = True,
         canonicalize: CanonicalizeConfig | None = None,
         compiled: bool = True,
-        precision: str = "float64",
+        precision: str = BackendConfig.precision,
     ):
         if shards < 1:
             raise ValueError("shards must be >= 1")

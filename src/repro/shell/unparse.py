@@ -35,9 +35,19 @@ _HOSTISH_RE = re.compile(r"^\d{1,3}(\.\d{1,3}){3}(:\d+)?$")
 _URL_RE = re.compile(r"^[a-z][a-z0-9+.-]*://", re.IGNORECASE)
 
 
+def _after(operator: str, text: str) -> str:
+    """*operator* followed by *text*, single-spaced.
+
+    A ``#`` after a blank starts a comment, so a word that begins with
+    ``#`` (it only lexed as a word because it touched the operator) is
+    glued back on instead — the canonical text must re-lex the same.
+    """
+    return f"{operator}{text}" if text.startswith("#") else f"{operator} {text}"
+
+
 def _unparse_redirect(redirect: Redirect) -> str:
     prefix = str(redirect.fd) if redirect.fd is not None else ""
-    return f"{prefix}{redirect.operator} {redirect.target.raw}"
+    return _after(f"{prefix}{redirect.operator}", redirect.target.raw)
 
 
 def _unparse_command(command: Command) -> str:
@@ -63,7 +73,7 @@ def _unparse_pipeline(pipeline: Pipeline) -> str:
     parts = [_unparse_command(pipeline.commands[0])]
     for index, command in enumerate(pipeline.commands[1:]):
         operator = "|&" if index < len(pipeline.pipe_stderr) and pipeline.pipe_stderr[index] else "|"
-        parts.append(f"{operator} {_unparse_command(command)}")
+        parts.append(_after(operator, _unparse_command(command)))
     text = " ".join(parts)
     return f"! {text}" if pipeline.negated else text
 
@@ -72,8 +82,7 @@ def unparse_list(ast: CommandList) -> str:
     """Reconstruct canonical text from a :class:`CommandList`."""
     pieces = [_unparse_pipeline(ast.pipelines[0])]
     for operator, pipeline in zip(ast.operators, ast.pipelines[1:]):
-        rendered = operator if operator != ";" else ";"
-        pieces.append(f"{rendered} {_unparse_pipeline(pipeline)}")
+        pieces.append(_after(operator, _unparse_pipeline(pipeline)))
     text = " ".join(pieces)
     if ast.terminator == "&":
         text += " &"

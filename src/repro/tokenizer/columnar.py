@@ -15,10 +15,9 @@ Correctness contract: for every line, the row of
 ``BPETokenizer.encode(line, add_special_tokens=True, max_length=...)``
 — same segmentation (the same cache-backed greedy merge), same
 truncation, same ``[CLS]``/``[SEP]`` framing, same ``[UNK]`` fallback.
-The batch additionally carries each line's character length, the key
-:meth:`CommandEncoder.embed` buckets by, so a columnar consumer can
-replicate the exact chunk composition of the per-line path and produce
-bitwise-equal embeddings.
+The row lengths are also the key :meth:`CommandEncoder.embed` buckets
+by, so a columnar consumer replicates the exact chunk composition of
+the per-line path and produces bitwise-equal embeddings.
 """
 
 from __future__ import annotations
@@ -46,17 +45,12 @@ class TokenBatch:
         ids followed by ``pad_id`` filler.
     lengths:
         ``(N,)`` int64 valid-token count per row (specials included).
-    char_lengths:
-        ``(N,)`` int64 character length of each source line — the
-        length-bucketing key :meth:`CommandEncoder.embed` sorts by, kept
-        so the columnar path chunks identically to the per-line path.
     pad_id:
         The id filling the tail of every row.
     """
 
     ids: np.ndarray
     lengths: np.ndarray
-    char_lengths: np.ndarray
     pad_id: int
 
     def __len__(self) -> int:
@@ -77,7 +71,6 @@ class TokenBatch:
         return TokenBatch(
             ids=self.ids[selector],
             lengths=self.lengths[selector],
-            char_lengths=self.char_lengths[selector],
             pad_id=self.pad_id,
         )
 
@@ -88,15 +81,8 @@ class TokenBatch:
         lengths: np.ndarray,
         *,
         pad_id: int = 0,
-        char_lengths: np.ndarray | None = None,
     ) -> "TokenBatch":
-        """Wrap raw ``(token_ids, lengths)`` arrays as a batch.
-
-        Without *char_lengths* the token lengths stand in as the
-        bucketing key — scoring is still exact, but bitwise equality
-        with the per-line path is only guaranteed when the original
-        character lengths are supplied.
-        """
+        """Wrap raw ``(token_ids, lengths)`` arrays as a batch."""
         ids = np.ascontiguousarray(token_ids, dtype=np.int64)
         if ids.ndim != 2:
             raise ValueError(f"token_ids must be 2-D (got shape {ids.shape})")
@@ -107,16 +93,7 @@ class TokenBatch:
             )
         if len(lengths) and (lengths.min() < 0 or lengths.max() > ids.shape[1]):
             raise ValueError("lengths must lie in [0, token width]")
-        if char_lengths is None:
-            char_lengths = lengths.copy()
-        else:
-            char_lengths = np.ascontiguousarray(char_lengths, dtype=np.int64)
-            if char_lengths.shape != lengths.shape:
-                raise ValueError(
-                    f"char_lengths shape {char_lengths.shape} does not match "
-                    f"{ids.shape[0]} rows"
-                )
-        return cls(ids=ids, lengths=lengths, char_lengths=char_lengths, pad_id=int(pad_id))
+        return cls(ids=ids, lengths=lengths, pad_id=int(pad_id))
 
 
 class ColumnarTokenizer:
@@ -171,10 +148,8 @@ class ColumnarTokenizer:
         budget = self.max_length - 2
         bodies: list[np.ndarray | None] = [None] * n
         lengths = np.full(n, 2, dtype=np.int64)  # every row carries [CLS]+[SEP]
-        char_lengths = np.empty(n, dtype=np.int64)
         pretokenize = self.tokenizer._pretokenize
         for index, line in enumerate(lines):
-            char_lengths[index] = len(line)
             words = pretokenize(line)
             if not words:
                 continue
@@ -193,6 +168,4 @@ class ColumnarTokenizer:
             if body is not None:
                 ids[index, 1 : 1 + body.shape[0]] = body
             ids[index, lengths[index] - 1] = self._sep_id
-        return TokenBatch(
-            ids=ids, lengths=lengths, char_lengths=char_lengths, pad_id=self.pad_id
-        )
+        return TokenBatch(ids=ids, lengths=lengths, pad_id=self.pad_id)

@@ -188,6 +188,41 @@ class TestFailover:
         assert submitted <= harness.all_alert_keys()
         assert stats["nodes_evicted"] == 1 and stats["orphaned_events"] == 0
 
+    def test_stop_ends_heartbeats_even_if_their_cancel_is_lost(self):
+        """Python 3.11's ``wait_for`` can swallow a cancel that arrives as
+        a heartbeat answer does; ``stop()`` must still return."""
+
+        async def swallow_cancel(task):
+            while True:
+                try:
+                    return await asyncio.shield(task)
+                except asyncio.CancelledError:
+                    continue
+
+        async def scenario():
+            harness = await start_fleet(1)
+            router = FleetRouter(
+                harness.config.from_dict(
+                    {**harness.config.to_dict(), "heartbeat_interval_seconds": 0.01}
+                )
+            )
+            try:
+                await router.start()
+                client = next(iter(router._clients.values()))
+                client.heartbeat_task = asyncio.ensure_future(
+                    swallow_cancel(client.heartbeat_task)
+                )
+                stopping = asyncio.ensure_future(router.stop())
+                done, _ = await asyncio.wait({stopping}, timeout=5.0)
+                if not done:  # end the loop the lost cancel should have ended
+                    client.alive = False
+                    await stopping
+            finally:
+                await stop_fleet(harness)
+            return bool(done)
+
+        assert run(scenario())
+
     def test_all_nodes_dead_fails_loudly(self, stream):
         async def scenario():
             harness = await start_fleet(1)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.loggen import ATTACK_FAMILIES, AttackSampler, EvasionMutator
@@ -238,15 +238,28 @@ def test_attack_lines_canonicalize_idempotently(family, inbox, seed):
         assert again.text == result.text
 
 
-@given(family_names, st.booleans(), seeds)
+#: A redirect or control operator glued to a word that may start with
+#: ``#`` — after a blank that ``#`` would open a comment.
+operator_words = st.tuples(
+    st.sampled_from(["", "cat ", "ls x ", "echo a"]),
+    st.sampled_from(["<", ">", ">>", "2>", ">&", "|", "&&", ";"]),
+    st.text(alphabet="#ab/.", max_size=4),
+).map("".join)
+
+@given(family_names, st.booleans(), seeds, operator_words)
 @settings(max_examples=60, deadline=None)
-def test_canonical_text_is_an_unparse_fixed_point(family, inbox, seed):
+@example(family="port_scan", inbox=True, seed=0, extra="<#")
+@example(family="port_scan", inbox=True, seed=0, extra="cat <#")
+@example(family="port_scan", inbox=True, seed=0, extra="ls ># x")
+@example(family="port_scan", inbox=True, seed=0, extra="echo a>#b")
+@example(family="port_scan", inbox=True, seed=0, extra="a 2>#")
+def test_canonical_text_is_an_unparse_fixed_point(family, inbox, seed, extra):
     # semantic preservation: the canonical form of every parseable line
     # is itself parseable, and parse -> unparse reproduces it exactly —
     # the canonicalizer only moves *within* the shell grammar
     sampler = AttackSampler(np.random.default_rng(seed))
     canonicalizer = Canonicalizer()
-    for line in sampler.sample(family, inbox=inbox):
+    for line in [*sampler.sample(family, inbox=inbox), extra]:
         result = canonicalizer.canonicalize(line)
         if not result.ok:
             continue

@@ -259,13 +259,17 @@ class TestBackendEquivalence:
 
     Events are submitted sequentially (concurrency=1), so every
     micro-batch is a singleton and the scores are **bitwise** equal —
-    the encoder's length-bucketing cannot reorder anything.
+    the encoder's length-bucketing cannot reorder anything.  The servers
+    run the float64 plan: the process workers score on the tape, and
+    only float64 reproduces it bit for bit.
     """
 
     EVENTS = (DEMO_BENIGN + DEMO_MALICIOUS) * 2
 
     def _stream(self, service, backend):
-        server = DetectionServer(service, backend=backend, max_latency_ms=5)
+        server = DetectionServer(
+            service, backend=backend, max_latency_ms=5, precision="float64"
+        )
         results, server = serve_stream(
             service, list(self.EVENTS), concurrency=1, server=server
         )
@@ -300,12 +304,17 @@ class TestBackendEquivalence:
         """Under real concurrency batch composition varies, so scores may
         differ in the last float ulp — decisions must still agree."""
         inline_results, _ = serve_stream(
-            demo_service, list(self.EVENTS), concurrency=4, max_latency_ms=10
+            demo_service,
+            list(self.EVENTS),
+            concurrency=4,
+            max_latency_ms=10,
+            precision="float64",
         )
         server = DetectionServer(
             demo_service,
             backend=ProcessPoolBackend(demo_bundle, workers=backend_workers, min_shard=1),
             max_latency_ms=10,
+            precision="float64",
         )
         process_results, _ = serve_stream(
             demo_service, list(self.EVENTS), concurrency=4, server=server

@@ -41,10 +41,7 @@ def test_raw_array_form_matches_token_batch_form(demo_service, lines):
     from repro.tokenizer.columnar import TokenBatch
 
     rebuilt = TokenBatch.from_arrays(
-        batch.ids.copy(),
-        batch.lengths.copy(),
-        pad_id=batch.pad_id,
-        char_lengths=batch.char_lengths.copy(),
+        batch.ids.copy(), batch.lengths.copy(), pad_id=batch.pad_id
     )
     assert (
         demo_service.score_batch(rebuilt).tobytes()

@@ -227,14 +227,89 @@ class TestWarmUp:
         run(scenario())
 
 
+@pytest.fixture(scope="module")
+def two_stage_bundle(two_stage_demo_service, tmp_path_factory):
+    bundle = tmp_path_factory.mktemp("compiled") / "two-stage"
+    two_stage_demo_service.save(bundle)
+    return str(bundle)
+
+
+def _default_oracle_events():
+    """The evasion corpus (bases and variants) plus a loggen sample."""
+    from datetime import datetime
+
+    from repro.loggen.evasion import build_evasion_corpus
+    from repro.loggen.fleet import FleetConfig, FleetSimulator
+    from repro.serving.events import CommandEvent
+
+    cases = build_evasion_corpus(seed=0)
+    lines = [line for case in cases for line in (case.base, case.variant)]
+    data = FleetSimulator(FleetConfig(seed=0)).generate(
+        datetime(2022, 6, 1), days=1, target_lines=400
+    )
+    lines += [record.line for record in data]
+    return [CommandEvent(line=line, host=f"h{i % 9}") for i, line in enumerate(lines)]
+
+
+def _serve(server, events, chunk=256):
+    async def scenario():
+        async with server:
+            results = []
+            for start in range(0, len(events), chunk):
+                results += await server.submit_many(events[start : start + chunk])
+            return results
+
+    return run(scenario())
+
+
+class TestServedDefault:
+    """``ServingConfig()`` serves the float32 plan with the tape's verdicts."""
+
+    def test_default_config_serves_float32_with_tape_verdicts(self, two_stage_bundle):
+        from repro.ids.pipeline import IntrusionDetectionService
+
+        events = _default_oracle_events()
+        server = DetectionServer.from_config(two_stage_bundle, ServingConfig(), record=False)
+        assert server.service.inference_precision == "float32"
+        results = _serve(server, events)
+
+        tape = IntrusionDetectionService.load(two_stage_bundle)
+        assert not tape.inference_compiled
+        keys = [tape.preprocess(event.line) for event in events]
+        unique = list(dict.fromkeys(key for key in keys if key is not None))
+        flagged = dict(zip(unique, tape.score_normalized(unique) >= tape.threshold))
+        assert len(unique) > 300
+        for result, key in zip(results, keys):
+            assert result.dropped == (key is None)
+            if key is not None:
+                assert result.is_intrusion == flagged[key], key
+
+    def test_float64_backend_still_serves_tape_bitwise(self, two_stage_bundle):
+        events = _default_oracle_events()
+        f64 = DetectionServer.from_config(
+            two_stage_bundle,
+            ServingConfig(backend=BackendConfig(precision="float64")),
+            record=False,
+        )
+        assert f64.service.inference_precision == "float64"
+        plain = DetectionServer.from_config(
+            two_stage_bundle,
+            ServingConfig(backend=BackendConfig(compiled=False)),
+            record=False,
+        )
+        compiled = np.array([result.score for result in _serve(f64, events)], dtype=float)
+        taped = np.array([result.score for result in _serve(plain, events)], dtype=float)
+        assert compiled.tobytes() == taped.tobytes()
+
+
 class TestBackendConfig:
     def test_defaults(self):
         config = BackendConfig()
         assert config.compiled is True
-        assert config.precision == "float64"
+        assert config.precision == "float32"
 
     def test_round_trip(self):
-        config = BackendConfig(compiled=False, precision="float32")
+        config = BackendConfig(compiled=False, precision="float64")
         again = BackendConfig.from_dict(config.to_dict())
         assert again == config
 
@@ -267,8 +342,8 @@ class TestCliFlags:
         assert config.backend.compiled is False
 
     def test_precision_flag(self):
-        config = self._resolve("--precision", "float32")
-        assert config.backend.precision == "float32"
+        config = self._resolve("--precision", "float64")
+        assert config.backend.precision == "float64"
 
     def test_flags_reach_server(self, demo_bundle):
         service = fresh_service(demo_bundle)

@@ -20,8 +20,7 @@ def make_batch(rows=5, width=7, pad_id=0, seed=3):
     rng = np.random.default_rng(seed)
     ids = rng.integers(4, 200, size=(rows, width)).astype(np.int64)
     lengths = rng.integers(2, width + 1, size=rows).astype(np.int64)
-    char_lengths = rng.integers(1, 80, size=rows).astype(np.int64)
-    return TokenBatch(ids=ids, lengths=lengths, char_lengths=char_lengths, pad_id=pad_id)
+    return TokenBatch(ids=ids, lengths=lengths, pad_id=pad_id)
 
 
 class TestRoundTrip:
@@ -35,7 +34,6 @@ class TestRoundTrip:
             out, release = open_frame(frame)
             assert np.array_equal(out.ids, batch.ids)
             assert np.array_equal(out.lengths, batch.lengths)
-            assert np.array_equal(out.char_lengths, batch.char_lengths)
             assert out.pad_id == batch.pad_id
             # consumers score row slices — views must see the same data
             rows = out.rows(slice(1, 4))
@@ -60,7 +58,6 @@ class TestRoundTrip:
         empty = TokenBatch(
             ids=np.zeros((0, 0), dtype=np.int64),
             lengths=np.zeros(0, dtype=np.int64),
-            char_lengths=np.zeros(0, dtype=np.int64),
             pad_id=0,
         )
         frame, segment = publish_frame(empty, generation=1, transport="auto")

@@ -204,6 +204,7 @@ class TestSwapWithRealBundles:
                 demo_service,
                 backend=ProcessPoolBackend(demo_bundle, workers=backend_workers),
                 max_latency_ms=5,
+                precision="float64",
             )
             async with server:
                 before = await server.submit(probe)
@@ -246,7 +247,9 @@ class TestSwapWithRealBundles:
         assert (bundle / "service.json").exists()
 
         async def scenario():
-            async with DetectionServer(demo_service, max_latency_ms=5) as server:
+            async with DetectionServer(
+                demo_service, max_latency_ms=5, precision="float64"
+            ) as server:
                 report = await server.swap_model(str(bundle))
                 result = await server.submit("nc -lvnp 4444")
                 return report, result, server

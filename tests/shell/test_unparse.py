@@ -3,7 +3,7 @@
 import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.shell import parse, structural_key, unparse
@@ -68,6 +68,11 @@ SAFE = st.lists(
 
 @given(SAFE)
 @settings(max_examples=150, deadline=None)
+@example("<#")
+@example("cat <#")
+@example("ls ># x")
+@example("echo a>#b")
+@example("a 2>#")
 def test_unparse_fixed_point_property(command):
     once = unparse(command)
     assert unparse(once) == once

@@ -44,6 +44,8 @@ class ServingMetrics:
         "cache_gen_hits",
         "cache_gen_misses",
         "cache_admission_rejections",
+        "front_memo_hits",
+        "front_memo_misses",
         "canonicalized",
         "canonicalize_failures",
         "canonicalize_truncated",
@@ -81,6 +83,11 @@ class ServingMetrics:
         self.cache_gen_hits = 0
         self.cache_gen_misses = 0
         self.cache_admission_rejections = 0
+        #: Front-end memo lookups (one per kept event while
+        #: canonicalization is on): a hit skips the canonicalizer for a
+        #: normalized line seen before.
+        self.front_memo_hits = 0
+        self.front_memo_misses = 0
         #: Canonicalization stage accounting: lines rewritten to a
         #: different canonical form, parse-failure fallbacks (split into
         #: truncation-attributable vs. genuinely unparseable), and
@@ -326,6 +333,12 @@ class ServingMetrics:
         return self.cache_gen_hits / scored if scored else 0.0
 
     @property
+    def front_memo_hit_rate(self) -> float:
+        """Fraction of front-end memo lookups served from the memo."""
+        looked_up = self.front_memo_hits + self.front_memo_misses
+        return self.front_memo_hits / looked_up if looked_up else 0.0
+
+    @property
     def mean_batch_size(self) -> float:
         """Average events per micro-batch flush."""
         return self.batched_events / self.batches if self.batches else 0.0
@@ -353,6 +366,9 @@ class ServingMetrics:
             "cache_hit_rate": round(self.cache_hit_rate, 4),
             "cache_generation_hit_rate": round(self.cache_generation_hit_rate, 4),
             "cache_admission_rejections": self.cache_admission_rejections,
+            "front_memo_hits": self.front_memo_hits,
+            "front_memo_misses": self.front_memo_misses,
+            "front_memo_hit_rate": round(self.front_memo_hit_rate, 4),
             "canonicalized": self.canonicalized,
             "canonicalize_failures": self.canonicalize_failures,
             "canonicalize_truncated": self.canonicalize_truncated,

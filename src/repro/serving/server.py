@@ -651,11 +651,13 @@ class DetectionServer:
         The sequence is: load the new bundle (off-loop, while old-model
         scoring continues), wait for **every shard's** in-flight batch
         to drain while holding back new ones, rotate the scoring
-        backend, bump the model generation, and purge all shard score
-        caches.  Events submitted during the swap are never dropped —
-        they queue in their shard's micro-batcher and score against the
-        new model; no batch on any shard mixes generations because
-        rotation happens while all shard score locks are held.
+        backend, bump the model generation, purge all shard score
+        caches, and rebuild every shard's front end (memo and
+        canonicalizer) from the incoming service.  Events submitted
+        during the swap are never dropped — they queue in their shard's
+        micro-batcher and score against the new model; no batch on any
+        shard mixes generations because rotation happens while all
+        shard score locks are held.
 
         Callers pass one of:
 
@@ -712,6 +714,8 @@ class DetectionServer:
                 invalidated = sum(
                     runtime.cache.bump_generation() for runtime in self.shards
                 )
+                for runtime in self.shards:
+                    runtime.reset_front()
             swap_ms = (time.perf_counter() - started) * 1000.0
             self._control_metrics.record_swap(swap_ms)
             return SwapReport(

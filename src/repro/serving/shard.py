@@ -10,7 +10,8 @@ anomaly detection — by host locality:
   shards (a hash ring with virtual nodes, so shard counts can change
   without reshuffling every host).
 - :class:`ShardRuntime` is the whole per-event flow that used to be
-  inlined in ``DetectionServer`` — normalize → cache lookup →
+  inlined in ``DetectionServer`` — front end (normalize → validate →
+  canonicalize, the last memoized per line) → cache lookup →
   micro-batch → score → session/sequence escalation → alert emit —
   owning its own :class:`~repro.serving.microbatch.MicroBatcher`,
   :class:`~repro.serving.cache.ScoreCache`,
@@ -36,11 +37,12 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import OrderedDict
 from collections.abc import Sequence
 
 import numpy as np
 
-from repro.preprocess.canonicalize import Canonicalizer
+from repro.preprocess.canonicalize import CanonicalizeResult, Canonicalizer
 from repro.serving.cache import ScoreCache
 from repro.serving.config import CanonicalizeConfig, SessionConfig
 from repro.serving.events import (
@@ -135,6 +137,14 @@ class ShardRuntime:
     With one shard and the same knobs this pipeline is the pre-shard
     ``DetectionServer`` event path, line for line — ``shards = 1``
     must stay bitwise-identical to the single-path server.
+
+    Host telemetry repeats: most lines were seen moments ago.
+    :attr:`front_memo` maps a normalized line to its canonicalize
+    outcome, so a repeat skips the canonicalizer.  It is an LRU holding
+    at most ``cache_size`` entries; its keys are normalized lines, which
+    the service normalizer has already cut to ``max_length``, so its
+    bytes stay bounded under adversarial input.  :meth:`reset_front`
+    empties it when the service rotates.
     """
 
     def __init__(
@@ -159,17 +169,18 @@ class ShardRuntime:
         #: per-line string path (the pre-columnar behaviour).
         self.columnar = columnar
         self.metrics = metrics or ServingMetrics()
+        self._canonicalize_policy = canonicalize
         #: AST-backed canonicalization between preprocess and the cache
         #: seam; ``None`` (canonicalize disabled or absent) keeps the
         #: pipeline byte-identical to the pre-canonicalization path.
         self.canonicalizer: Canonicalizer | None = None
-        if canonicalize is not None and canonicalize.enabled:
-            normalizer = getattr(context.service, "normalizer", None)
-            self.canonicalizer = Canonicalizer(
-                decode_base64=canonicalize.decode_base64,
-                max_passes=canonicalize.max_passes,
-                truncation_length=getattr(normalizer, "max_length", None),
-            )
+        #: Normalized line → canonicalize outcome: the cache key itself
+        #: (unchanged, not decoded — usually the very same string), or
+        #: ``(key, CanonicalizeResult)`` for the rest, whose outcome the
+        #: canonicalize counters need on every hit.  Bare keys keep the
+        #: common entry as small as the memo's own dict slot.
+        self.front_memo: OrderedDict[str, str | tuple[str, CanonicalizeResult]] = OrderedDict()
+        self.reset_front()
         self.cache = ScoreCache(
             cache_size, ttl_seconds=cache_ttl_seconds, admission=cache_admission
         )
@@ -220,6 +231,25 @@ class ShardRuntime:
     def pending(self) -> int:
         """Events queued in this shard's batcher (autoscaler signal)."""
         return self.batcher.pending
+
+    def reset_front(self) -> None:
+        """Rebuild the canonicalizer from the live service; empty the memo.
+
+        The service normalizer's ``max_length`` is where the
+        canonicalizer draws the truncated / parse-error line, and every
+        memoized outcome carries that split — so after
+        ``DetectionServer.swap_model`` rotates the service, nothing the
+        previous canonicalizer computed may be served.
+        """
+        policy = self._canonicalize_policy
+        if policy is not None and policy.enabled:
+            normalizer = getattr(self._ctx.service, "normalizer", None)
+            self.canonicalizer = Canonicalizer(
+                decode_base64=policy.decode_base64,
+                max_passes=policy.max_passes,
+                truncation_length=getattr(normalizer, "max_length", None),
+            )
+        self.front_memo.clear()
 
     # -- event path --------------------------------------------------------
 
@@ -314,11 +344,31 @@ class ShardRuntime:
     def _canonical(self, normalized: str) -> str:
         """Canonicalize one normalized line, accounting the outcome.
 
-        Never raises: unparseable input falls back to the normalized
-        text (counted in ``canonicalize_failures``, with truncation-
-        attributable failures split out into ``canonicalize_truncated``).
+        The canonicalizer runs on a memo miss only.  Never raises:
+        unparseable input falls back to the normalized text.  The
+        counters count events, hit or miss — rewritten lines, decoded
+        payloads, failures (``canonicalize_failures``, with truncation-
+        attributable ones split out into ``canonicalize_truncated``).
         """
-        result = self.canonicalizer.canonicalize(normalized)
+        memo = self.front_memo
+        entry = memo.get(normalized)
+        if entry is None:
+            self.metrics.front_memo_misses += 1
+            result = self.canonicalizer.canonicalize(normalized)
+            entry = result.text
+            if result.changed or result.decoded or not result.ok:
+                entry = (entry, result)
+            capacity = self.cache.capacity
+            if capacity:
+                memo[normalized] = entry
+                if len(memo) > capacity:
+                    memo.popitem(last=False)
+        else:
+            self.metrics.front_memo_hits += 1
+            memo.move_to_end(normalized)
+        if entry.__class__ is not tuple:
+            return entry
+        key, result = entry
         if result.ok:
             if result.changed:
                 self.metrics.canonicalized += 1
@@ -328,7 +378,7 @@ class ShardRuntime:
             self.metrics.canonicalize_failures += 1
             if result.reason == "truncated":
                 self.metrics.canonicalize_truncated += 1
-        return result.text
+        return key
 
     def _emit_alert(
         self,

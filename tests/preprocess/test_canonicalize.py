@@ -247,7 +247,7 @@ operator_words = st.tuples(
 ).map("".join)
 
 @given(family_names, st.booleans(), seeds, operator_words)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=2000, deadline=None)
 @example(family="port_scan", inbox=True, seed=0, extra="<#")
 @example(family="port_scan", inbox=True, seed=0, extra="cat <#")
 @example(family="port_scan", inbox=True, seed=0, extra="ls ># x")

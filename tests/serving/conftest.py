@@ -10,6 +10,8 @@ integration module uses the real miniature demo service.
 import numpy as np
 import pytest
 
+from repro.preprocess import Normalizer
+
 
 class StubService:
     """Deterministic service stub: score 0.9 for 'evil' lines, 0.1 otherwise."""
@@ -28,6 +30,19 @@ class StubService:
     def score_normalized(self, lines):
         self.scored_batches.append(list(lines))
         return np.array([0.9 if "evil" in line else 0.1 for line in lines])
+
+
+class NormalizingService(StubService):
+    """Stub with a real :class:`~repro.preprocess.Normalizer` cutting at
+    *max_length* and no validity parse, so unparseable and truncated
+    lines reach the canonicalizer."""
+
+    def __init__(self, max_length: int):
+        super().__init__()
+        self.normalizer = Normalizer(max_length=max_length)
+
+    def preprocess(self, raw: str) -> str | None:
+        return self.normalizer(raw) or None
 
 
 class TwoStageStubService(StubService):

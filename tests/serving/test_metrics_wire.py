@@ -32,6 +32,8 @@ def populated_bundle(
     metrics.alerts = events // 3
     metrics.cache_hits = events // 2
     metrics.cache_misses = events - events // 2
+    metrics.front_memo_hits = events * 7 // 10
+    metrics.front_memo_misses = events - events * 7 // 10
     metrics.batches = max(1, events // 8)
     metrics.batched_events = events
     metrics.swaps = 2
@@ -120,3 +122,5 @@ class TestMergeEquivalence:
         )
         assert via_wire.snapshot() == direct.snapshot()
         assert list(via_wire._latencies_ms) == list(direct._latencies_ms)
+        assert via_wire.front_memo_hits + via_wire.front_memo_misses == events_a + events_b
+        assert via_wire.front_memo_hits == a.front_memo_hits + b.front_memo_hits

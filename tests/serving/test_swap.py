@@ -18,6 +18,8 @@ from repro.serving import (
     ProcessPoolBackend,
     ThreadedBackend,
 )
+from repro.serving.config import CanonicalizeConfig
+from tests.serving.conftest import NormalizingService
 from tests.serving.test_backends import FixedScoreService, load_high, load_low
 
 OLD_SCORE, NEW_SCORE = 0.25, 0.75
@@ -104,6 +106,36 @@ class TestSwapBasics:
         assert server.generation == 3
         assert result.generation == 3
         assert server.metrics.swaps == 3
+
+    def test_swap_rebuilds_the_front_end(self):
+        """The incoming normalizer's cap decides keys and the truncated /
+        parse_error split; nothing the old front end computed survives."""
+        long_line = "echo 'abcdefghijklmnop'"  # parses whole; cut at 16 it does not
+        at_new_cap = "echo 'abcdefghij"  # 16 characters, unterminated quote
+
+        async def scenario():
+            async with DetectionServer(
+                NormalizingService(max_length=64),
+                max_latency_ms=5,
+                canonicalize=CanonicalizeConfig(enabled=True),
+            ) as server:
+                before = [await server.submit(line) for line in (long_line, at_new_cap)]
+                memoized = at_new_cap in server.shards[0].front_memo
+                truncated_before = server.metrics.canonicalize_truncated
+                await server.swap_model(service=NormalizingService(max_length=16))
+                memo_after_swap = len(server.shards[0].front_memo)
+                after = [await server.submit(line) for line in (long_line, at_new_cap)]
+                return before, memoized, truncated_before, memo_after_swap, after, server
+
+        before, memoized, truncated_before, memo_after_swap, after, server = run(scenario())
+        assert [r.line for r in before] == ["echo abcdefghijklmnop", at_new_cap]
+        assert memoized and truncated_before == 0  # a parse_error under the old cap
+        assert memo_after_swap == 0
+        assert [r.line for r in after] == [at_new_cap, at_new_cap]
+        assert server.shards[0].canonicalizer.truncation_length == 16
+        # both post-swap events are failures at the new cap: truncated
+        assert server.metrics.canonicalize_failures == 3
+        assert server.metrics.canonicalize_truncated == 2
 
 
 class TestSwapUnderLoad:

@@ -5,8 +5,8 @@ millions of user command lines every week".  This demo runs that story
 end to end without dropping an event:
 
 1. train the miniature demo service and deploy it behind a
-   ``DetectionServer`` whose micro-batches shard across two worker
-   processes (``ProcessPoolBackend``);
+   ``DetectionServer`` (default backend: micro-batches score on the
+   event loop);
 2. stream telemetry at it from concurrent producers;
 3. mid-stream, run one ``ContinualLearner`` weekly update (continued
    MLM pre-training + re-labeling + head re-tune), export the fresh
@@ -27,7 +27,7 @@ from repro.ids.commercial import CommercialIDS
 from repro.lm.continual import ContinualLearner
 from repro.loggen.dataset import CommandDataset
 from repro.loggen.entities import LogRecord
-from repro.serving import DetectionServer, ProcessPoolBackend
+from repro.serving import DetectionServer
 from repro.serving.demo import DEMO_BENIGN, DEMO_MALICIOUS, build_demo_service
 
 WEEK_TELEMETRY = DEMO_BENIGN * 4 + DEMO_MALICIOUS * 3
@@ -42,12 +42,7 @@ async def main() -> None:
     service.save(bundle_v1)
     print(f"deployed bundle {bundle_v1.name} (fingerprint {service.fingerprint()})")
 
-    server = DetectionServer(
-        service,
-        backend=ProcessPoolBackend(bundle_v1, workers=2),
-        max_batch=16,
-        max_latency_ms=10,
-    )
+    server = DetectionServer(service, max_batch=16, max_latency_ms=10)
 
     stream = DEMO_BENIGN + DEMO_MALICIOUS
     results = []

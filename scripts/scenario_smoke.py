@@ -12,10 +12,9 @@ two-stage bundle, then checks the acceptance path end to end:
 3. the second stage ran only on flagged events;
 4. the resolved config — new session fields included — round-trips
    losslessly through ``--print-config``;
-5. a 2-shard server with autoscaling enabled boots from the same
-   bundle, serves a multi-host stream across both shards, and drains
-   cleanly — every submitted event answered, zero drops, every alert
-   delivered;
+5. a 2-shard server on a 2-thread backend boots from the same bundle,
+   serves a multi-host stream across both shards, and drains cleanly —
+   every submitted event answered, zero drops, every alert delivered;
 6. an evaded multi-stage campaign (every step respelled by a verified
    :class:`EvasionMutator` technique) replayed through a 2-shard server
    is invisible to the raw pipeline but fully recalled once
@@ -134,19 +133,13 @@ def main() -> int:
         assert resolved.session.mode == "sequence"
         print("sequence session config round-trips through --print-config")
 
-        # 5. sharded + autoscaling deployment: clean boot, spread, drain
+        # 5. sharded threaded deployment: clean boot, spread, drain
         sharded_config = ServingConfig.from_dict(
             {
                 "batch": {"max_batch": 8, "max_latency_ms": 10.0},
                 "cache": {"size": 1024, "admission": "tinylfu"},
                 "shards": {"count": 2},
                 "backend": {"kind": "threaded", "workers": 2},
-                "autoscale": {
-                    "enabled": True,
-                    "min_workers": 1,
-                    "max_workers": 4,
-                    "interval_seconds": 0.05,
-                },
                 "sinks": ["ring://4096"],
             }
         )
@@ -171,13 +164,12 @@ def main() -> int:
         assert delivered == flagged > 0 and lost == 0, (
             f"alert delivery across shards: {delivered}/{flagged} delivered, {lost} lost"
         )
-        assert sharded.autoscaler is not None, "autoscaler must attach to the server"
         merged = sharded.metrics
         assert merged.events_total == len(fleet_events)
         print(
-            f"2-shard autoscaling server: {len(fleet_events)} events across "
+            f"2-shard threaded server: {len(fleet_events)} events across "
             f"{len(populated)} shards, {delivered} alerts delivered, 0 dropped, "
-            f"{merged.autoscale_checks} autoscale checks, clean drain"
+            f"clean drain"
         )
 
         # 6. canonicalization closes the evasion gap on a staged campaign

@@ -17,7 +17,6 @@ Three entry points that together run a fleet from shells:
 
         repro-ids fleet-admin --config fleet.toml status
         repro-ids fleet-admin --config fleet.toml swap ./new-bundle
-        repro-ids fleet-admin --node 127.0.0.1:9101 resize 4
         repro-ids fleet-admin --node 127.0.0.1:9101 drain
 
     ``status`` merges every node's metrics snapshot into fleet totals;
@@ -222,8 +221,6 @@ def build_admin_parser() -> argparse.ArgumentParser:
     sub.add_parser("status", help="per-node status + merged fleet metrics")
     swap = sub.add_parser("swap", help="rolling generation-fenced model swap")
     swap.add_argument("bundle", help="bundle directory the nodes can reach")
-    resize = sub.add_parser("resize", help="resize the scoring backend pool")
-    resize.add_argument("workers", type=int)
     sub.add_parser("drain", help="node nacks new batches until undrained")
     sub.add_parser("undrain", help="resume accepting batches")
     return parser
@@ -314,15 +311,9 @@ def fleet_admin_main(argv: Iterable[str] | None = None, stdout: TextIO | None = 
             return _admin_status(targets, args.timeout, out)
         if args.verb == "swap":
             return _admin_swap(targets, args.bundle, args.timeout, out)
-        for address in targets:
-            if args.verb == "resize":
-                answer = _request(
-                    address, admin_message("resize", workers=args.workers), args.timeout
-                )
-                print(f"{address}: workers={answer.get('workers')}", file=out)
-            else:  # drain / undrain
-                answer = _request(address, admin_message(args.verb), args.timeout)
-                print(f"{address}: draining={answer.get('draining')}", file=out)
+        for address in targets:  # drain / undrain
+            answer = _request(address, admin_message(args.verb), args.timeout)
+            print(f"{address}: draining={answer.get('draining')}", file=out)
         return 0
     except (ConfigError, FleetError) as exc:
         print(f"error: {exc}", file=sys.stderr)

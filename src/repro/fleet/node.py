@@ -15,9 +15,8 @@ network through the frame protocol of :mod:`repro.fleet.protocol`:
   connection, so a large scoring batch never delays a liveness probe.
 - ``admin`` frames are the control plane: ``status`` / ``metrics``
   (a lossless :meth:`ServingMetrics.to_dict` snapshot), ``swap``
-  (generation-fenced hot model rotation), ``resize`` (backend pool),
-  ``drain`` / ``undrain`` (refuse new batches while finishing in-flight
-  work).
+  (generation-fenced hot model rotation), ``drain`` / ``undrain``
+  (refuse new batches while finishing in-flight work).
 
 Each connection is served by one coroutine that reads a frame, awaits
 its handler, and writes exactly one response frame — requests on one
@@ -32,7 +31,7 @@ from __future__ import annotations
 import asyncio
 from collections.abc import Callable
 
-from repro.errors import ConfigError, FleetError, ReproError
+from repro.errors import FleetError, ReproError
 from repro.fleet.protocol import (
     PROTOCOL_VERSION,
     ack_message,
@@ -47,7 +46,7 @@ from repro.serving.events import CommandEvent
 from repro.serving.server import DetectionServer
 
 #: ``admin`` verbs a node answers (the control-plane surface).
-ADMIN_VERBS = ("ping", "status", "metrics", "swap", "resize", "drain", "undrain")
+ADMIN_VERBS = ("ping", "status", "metrics", "swap", "drain", "undrain")
 
 
 def _default_swap_resolver(ref: str) -> dict:
@@ -136,9 +135,9 @@ class FleetNode:
         """Die abruptly: abort every connection without acknowledging.
 
         The failure-injection path for tests and demos — in-flight
-        batches are never acked, exactly like a crashed process, so the
+        batches are never acked, exactly like a crashed node, so the
         router must replay them.  The wrapped server is still stopped
-        afterwards (this process goes on living even if the "node"
+        afterwards (the interpreter goes on living even if the "node"
         died).
         """
         if self._tcp is not None:
@@ -298,18 +297,6 @@ class FleetNode:
             swap_ms=report.swap_ms,
             drain_ms=report.drain_ms,
             cache_invalidated=report.cache_invalidated,
-        )
-
-    async def _admin_resize(self, message: dict) -> dict:
-        workers = message.get("workers")
-        if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-            raise FleetError(f"resize needs an integer workers >= 1 (got {workers!r})")
-        try:
-            changed = await self.server.resize_backend(workers)
-        except ConfigError as exc:
-            return self._refuse("resize", str(exc))
-        return self._ack(
-            "resize", workers=self.server.backend.workers, changed=changed
         )
 
     async def _admin_drain(self, message: dict) -> dict:

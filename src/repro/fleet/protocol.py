@@ -21,7 +21,7 @@ Message *types* (the ``"type"`` key of every frame):
 ``ingest``            ``batch_id`` + ``events`` ``[[line, host, ts], ...]``
 ``ack`` / ``nack``    per-batch outcome (counts + generations, or a reason)
 ``heartbeat``         liveness probe → ``heartbeat_ack`` with node vitals
-``admin``             control verb: status / metrics / swap / resize /
+``admin``             control verb: ping / status / metrics / swap /
                       drain / undrain → ``admin_ack`` (or ``error``)
 ``error``             the peer could not process the frame
 ====================  =====================================================

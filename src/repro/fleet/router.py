@@ -667,12 +667,3 @@ class FleetRouter:
         client.remote_draining = True
         self._rebuild_ring()
         await self._drain_client(client)
-
-    async def resize_node(self, address: str, workers: int) -> dict:
-        """Resize one node's scoring backend pool (admin verb)."""
-        answer = await self._admin_request(
-            address, admin_message("resize", workers=workers)
-        )
-        if not answer.get("ok", False):
-            raise FleetError(f"{address} refused resize: {answer.get('error')}")
-        return answer

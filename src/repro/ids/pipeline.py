@@ -147,7 +147,7 @@ class IntrusionDetectionService:
         Two services answer identically on every input iff their
         fingerprints match (head weights, LM weights, and threshold all
         participate), which is how the serving layer verifies that a
-        hot-swapped worker really rotated to the new bundle.
+        hot swap really rotated to the new bundle.
         """
         digest = hashlib.sha256()
         digest.update(f"threshold={self.threshold!r}".encode())
@@ -245,7 +245,7 @@ class IntrusionDetectionService:
         :meth:`score_batch`: one pass over the micro-batch produces the
         padded ``(N, W)`` id matrix + lengths a
         :class:`~repro.tokenizer.columnar.TokenBatch` carries, ready for
-        zero-copy transport to scoring workers.
+        zero-copy row slicing by the scoring backend.
         """
         from repro.tokenizer.columnar import ColumnarTokenizer
 

@@ -15,13 +15,12 @@ Public surface:
   hashes hosts across them); each shard owns its own batcher, cache,
   and session table while the backend, model, and delivery pipeline
   stay shared.
-- :class:`Autoscaler` + :class:`AutoscaleConfig` — control loop
-  resizing the scoring-worker pool from observed backlog, batch
-  latency, and the generation-scoped cache hit rate.
-- :class:`ScoringBackend` and its three strategies —
-  :class:`InlineBackend`, :class:`ThreadedBackend`,
-  :class:`ProcessPoolBackend` — deciding where the LM forward pass
-  runs; ``DetectionServer.swap_model`` hot-rotates all of them.
+- :class:`ScoringBackend` and its two strategies —
+  :class:`InlineBackend` (on the event loop) and
+  :class:`ThreadedBackend` (a thread pool) — deciding where the LM
+  forward pass runs; ``DetectionServer.swap_model`` hot-rotates both.
+  Serving runs in one process; scale-out across processes or machines
+  is the fleet layer (:mod:`repro.fleet`).
 - :class:`MicroBatcher` — flush-on-size-or-deadline batching queue.
 - :class:`ScoreCache` — LRU normalized-line → score cache with
   model-generation invalidation, optional TTL expiry, and optional
@@ -41,22 +40,9 @@ Public surface:
   :class:`DetectionAlert`, :class:`Severity`, :class:`AlertStatus`.
 """
 
-from repro.serving.autoscale import (
-    Autoscaler,
-    AutoscaleDecision,
-    AutoscaleObservation,
-)
-from repro.serving.backends import (
-    InlineBackend,
-    ProcessPoolBackend,
-    ScoringBackend,
-    ThreadedBackend,
-    WorkerCrashError,
-    load_bundle,
-)
+from repro.serving.backends import InlineBackend, ScoringBackend, ThreadedBackend
 from repro.serving.cache import ADMISSION_POLICIES, FrequencySketch, ScoreCache
 from repro.serving.config import (
-    AutoscaleConfig,
     BackendConfig,
     BatchConfig,
     CacheConfig,
@@ -69,14 +55,6 @@ from repro.serving.config import (
     load_recorded_config,
 )
 from repro.serving.delivery import DeliveryPipeline, SinkStats
-from repro.serving.frames import (
-    FRAME_TRANSPORTS,
-    BatchFrame,
-    open_frame,
-    publish_frame,
-    retire_frame,
-    shm_available,
-)
 from repro.serving.events import (
     AlertStatus,
     CommandEvent,
@@ -121,14 +99,9 @@ __all__ = [
     "ADMISSION_POLICIES",
     "AlertSink",
     "AlertStatus",
-    "AutoscaleConfig",
-    "AutoscaleDecision",
-    "AutoscaleObservation",
-    "Autoscaler",
     "BackendConfig",
     "BatchAborted",
     "BatchConfig",
-    "BatchFrame",
     "CacheConfig",
     "CallbackSink",
     "CanonicalizeConfig",
@@ -142,12 +115,10 @@ __all__ = [
     "DetectionResult",
     "DetectionServer",
     "ESCALATION_MODES",
-    "FRAME_TRANSPORTS",
     "HostSession",
     "InlineBackend",
     "JsonlSink",
     "MicroBatcher",
-    "ProcessPoolBackend",
     "RingBufferSink",
     "ScoreCache",
     "ScoringBackend",
@@ -169,19 +140,13 @@ __all__ = [
     "TcpSocketSink",
     "ThreadedBackend",
     "WebhookSink",
-    "WorkerCrashError",
     "backend_from_config",
     "build_sink",
     "ensure_sink",
-    "load_bundle",
     "load_recorded_config",
-    "open_frame",
-    "publish_frame",
     "register_sink_scheme",
-    "retire_frame",
     "ring_point",
     "serve_batches",
     "serve_stream",
-    "shm_available",
     "tail_stream",
 ]

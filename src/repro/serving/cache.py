@@ -126,11 +126,7 @@ class ScoreCache:
     report the hit rate the paper-scale deployment depends on;
     ``invalidated`` / ``stale_puts`` / ``expirations`` account for the
     generation and TTL machinery that keeps the cache honest across
-    model swaps and over time.  ``generation_hits`` /
-    ``generation_misses`` track the same hit/miss split **since the
-    last generation bump** — the figures a control loop (autoscaler)
-    must use, because lifetime ``hit_rate`` still reflects the purged
-    pre-swap cache.
+    model swaps and over time.
     """
 
     def __init__(
@@ -164,8 +160,6 @@ class ScoreCache:
         self.stale_puts = 0
         self.expirations = 0
         self.admission_rejections = 0
-        self.generation_hits = 0
-        self.generation_misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -188,27 +182,22 @@ class ScoreCache:
             self._sketch.record(line)
         entry = self._entries.get(line)
         if entry is None:
-            self._miss()
+            self.misses += 1
             return None
         score, generation, stamped_at = entry
         if generation != self.generation:
             del self._entries[line]
             self.invalidated += 1
-            self._miss()
+            self.misses += 1
             return None
         if self.ttl_seconds is not None and self._clock() - stamped_at > self.ttl_seconds:
             del self._entries[line]
             self.expirations += 1
-            self._miss()
+            self.misses += 1
             return None
         self._entries.move_to_end(line)
         self.hits += 1
-        self.generation_hits += 1
         return score, generation
-
-    def _miss(self) -> None:
-        self.misses += 1
-        self.generation_misses += 1
 
     def get(self, line: str) -> float | None:
         """Return the cached score for *line* (marking it recently used)."""
@@ -252,17 +241,13 @@ class ScoreCache:
         Returns the number of entries invalidated.  Called by
         :meth:`DetectionServer.swap_model` after the scoring backend has
         rotated, so no event is ever served a score from the retired
-        model.  The per-generation hit/miss counters reset with the
-        purge (a fresh model starts cold); the frequency sketch is
-        *kept* — line popularity is a property of the traffic, not of
-        the model that scored it.
+        model.  The frequency sketch is *kept* — line popularity is a
+        property of the traffic, not of the model that scored it.
         """
         self.generation += 1
         purged = len(self._entries)
         self._entries.clear()
         self.invalidated += purged
-        self.generation_hits = 0
-        self.generation_misses = 0
         return purged
 
     @property
@@ -270,17 +255,6 @@ class ScoreCache:
         """Fraction of lookups served from cache (0 when never queried)."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    @property
-    def generation_hit_rate(self) -> float:
-        """Hit fraction since the last generation bump (0 when unqueried).
-
-        A hot swap purges the cache, so lifetime :attr:`hit_rate` keeps
-        advertising the retired model's warmth for a while; control
-        loops must read this figure instead.
-        """
-        total = self.generation_hits + self.generation_misses
-        return self.generation_hits / total if total else 0.0
 
     def clear(self) -> None:
         """Drop all entries (counters and generation are kept)."""

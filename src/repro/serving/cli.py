@@ -28,7 +28,7 @@ print at the end.
 
    $ repro-ids serve --config examples/serve.toml --bundle ./bundle
    $ repro-ids serve --input telemetry.log --sink webhook://siem:8080/alerts
-   $ repro-ids serve --config serve.toml --workers 4 --print-config
+   $ repro-ids serve --config serve.toml --backend threaded --workers 4 --print-config
 """
 
 from __future__ import annotations
@@ -37,10 +37,8 @@ import argparse
 import dataclasses
 import json
 import sys
-import tempfile
 import urllib.parse
 from collections.abc import Iterable, Iterator
-from pathlib import Path
 from typing import TextIO
 
 from repro.errors import ConfigError, ReproError
@@ -55,8 +53,6 @@ from repro.serving.config import (
 from repro.serving.events import CommandEvent
 from repro.serving.server import DetectionServer, serve_stream, tail_stream
 from repro.serving.sinks import CallbackSink
-
-BACKEND_CHOICES = BACKEND_KINDS
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
@@ -98,16 +94,15 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="parallel scoring workers each micro-batch is sharded across "
-        "(default 1)",
+        help="scoring threads each micro-batch is sharded across; more than "
+        "1 needs --backend threaded (default 1)",
     )
     parser.add_argument(
         "--backend",
-        choices=BACKEND_CHOICES,
+        choices=BACKEND_KINDS,
         default=None,
-        help="where the LM forward pass runs: inline (event loop), threaded "
-        "(thread pool), process (worker processes, each with its own "
-        "deserialized bundle). auto = inline for 1 worker, process otherwise",
+        help="where the LM forward pass runs: inline (on the event loop; "
+        "default) or threaded (a thread pool of --workers)",
     )
     parser.add_argument(
         "--compiled",
@@ -168,28 +163,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         default=None,
         help="shard runtimes to consistent-hash hosts across; each owns its "
         "own batcher, cache, and session table (default 1)",
-    )
-    parser.add_argument(
-        "--autoscale",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="resize the scoring-worker pool from observed backlog, batch "
-        "latency, and cache hit rate (needs a threaded/process backend; "
-        "backend 'auto' resolves to threaded)",
-    )
-    parser.add_argument(
-        "--autoscale-min",
-        type=int,
-        default=None,
-        metavar="N",
-        help="autoscaler floor for the worker pool (default 1)",
-    )
-    parser.add_argument(
-        "--autoscale-max",
-        type=int,
-        default=None,
-        metavar="N",
-        help="autoscaler ceiling for the worker pool (default 0 = cpu count)",
     )
     parser.add_argument(
         "--concurrency",
@@ -316,12 +289,6 @@ def resolve_config(args: argparse.Namespace) -> ServingConfig:
         ),
         canonicalize=override(base.canonicalize, enabled=args.canonicalize),
         shards=override(base.shards, count=args.shards),
-        autoscale=override(
-            base.autoscale,
-            enabled=args.autoscale,
-            min_workers=args.autoscale_min,
-            max_workers=args.autoscale_max,
-        ),
         session=override(
             base.session,
             window_seconds=args.window_seconds,
@@ -426,20 +393,9 @@ def serve_main(argv: Iterable[str] | None = None, stdout: TextIO | None = None) 
             print(f"error: demo service training failed: {exc}", file=sys.stderr)
             return 2
 
-    # the process backend forks workers that deserialize a bundle from
-    # disk; a freshly-trained demo service has none, so save one to a
-    # temporary directory for the duration of the run
-    tmp_bundle = None
-    if config.backend.resolved_kind == "process" and service.source_dir is None:
-        tmp_bundle = tempfile.TemporaryDirectory(prefix="repro-serve-bundle-")
-        service.save(tmp_bundle.name)
-        service.source_dir = Path(tmp_bundle.name)
-
     try:
         server = DetectionServer.from_config(service, config)
     except ConfigError as exc:
-        if tmp_bundle is not None:
-            tmp_bundle.cleanup()
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -459,23 +415,19 @@ def serve_main(argv: Iterable[str] | None = None, stdout: TextIO | None = None) 
 
         server.sinks.add(CallbackSink(print_alert), name="cli-console")
 
-    try:
-        if events is None:
-            results, server = tail_stream(
-                service,
-                sys.stdin,
-                concurrency=config.concurrency,
-                limit=args.limit,
-                parse=parse_event,
-                server=server,
-            )
-        else:
-            results, server = serve_stream(
-                service, events, concurrency=config.concurrency, server=server
-            )
-    finally:
-        if tmp_bundle is not None:
-            tmp_bundle.cleanup()
+    if events is None:
+        results, server = tail_stream(
+            service,
+            sys.stdin,
+            concurrency=config.concurrency,
+            limit=args.limit,
+            parse=parse_event,
+            server=server,
+        )
+    else:
+        results, server = serve_stream(
+            service, events, concurrency=config.concurrency, server=server
+        )
 
     escalated = server.sessions.escalated_hosts()
     if escalated:

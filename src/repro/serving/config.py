@@ -41,7 +41,7 @@ from repro.errors import ConfigError
 from repro.serving.cache import ADMISSION_POLICIES
 from repro.serving.sessions import ESCALATION_MODES as SESSION_MODES
 
-BACKEND_KINDS = ("auto", "inline", "threaded", "process")
+BACKEND_KINDS = ("inline", "threaded")
 ON_FULL_CHOICES = ("block", "drop")
 
 
@@ -269,98 +269,12 @@ class ShardConfig:
 
 
 @dataclass(frozen=True)
-class AutoscaleConfig:
-    """Adaptive sizing of the scoring-backend worker pool.
-
-    When ``enabled``, the server runs an
-    :class:`~repro.serving.autoscale.Autoscaler` control loop that
-    samples the serving plane every ``interval_seconds`` and resizes
-    the backend between ``min_workers`` and ``max_workers``:
-
-    - **scale up** when the queued backlog exceeds
-      ``backlog_per_worker`` events per current worker, or the EWMA of
-      batch scoring latency exceeds ``latency_high_ms``;
-    - **scale down** when the *generation-scoped* cache hit rate is at
-      least ``shrink_hit_rate`` and the backlog is quiet — repeats are
-      being served from memory, so scoring parallelism is wasted;
-    - after an applied resize, ``cooldown_intervals`` checks pass
-      before the next change (no thrash on a bursty signal).
-
-    ``max_workers = 0`` means "the machine decides": the core count at
-    server start.  Requires a resizable backend (``threaded`` or
-    ``process``); ``backend.kind = "auto"`` with autoscaling enabled
-    resolves to ``threaded``.
-    """
-
-    enabled: bool = False
-    min_workers: int = 1
-    max_workers: int = 0
-    interval_seconds: float = 0.25
-    backlog_per_worker: int = 16
-    latency_high_ms: float = 200.0
-    shrink_hit_rate: float = 0.9
-    cooldown_intervals: int = 4
-
-    def __post_init__(self):
-        _as_bool(self.enabled, "autoscale.enabled")
-        _as_int(self.min_workers, "autoscale.min_workers", 1)
-        _as_int(self.max_workers, "autoscale.max_workers", 0)
-        if self.max_workers and self.max_workers < self.min_workers:
-            raise ConfigError(
-                f"autoscale.max_workers ({self.max_workers}) must be 0 (= cpu "
-                f"count) or >= autoscale.min_workers ({self.min_workers})"
-            )
-        object.__setattr__(
-            self,
-            "interval_seconds",
-            _as_float(self.interval_seconds, "autoscale.interval_seconds", 0.0, exclusive=True),
-        )
-        _as_int(self.backlog_per_worker, "autoscale.backlog_per_worker", 1)
-        object.__setattr__(
-            self,
-            "latency_high_ms",
-            _as_float(self.latency_high_ms, "autoscale.latency_high_ms", 0.0, exclusive=True),
-        )
-        object.__setattr__(
-            self,
-            "shrink_hit_rate",
-            _as_float(self.shrink_hit_rate, "autoscale.shrink_hit_rate", 0.0),
-        )
-        if self.shrink_hit_rate > 1.0:
-            raise ConfigError(
-                f"autoscale.shrink_hit_rate must be <= 1 (a fraction; "
-                f"got {self.shrink_hit_rate})"
-            )
-        _as_int(self.cooldown_intervals, "autoscale.cooldown_intervals", 0)
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "autoscale") -> "AutoscaleConfig":
-        data = _require_mapping(data, path)
-        _reject_unknown_keys(data, tuple(f.name for f in fields(cls)), path)
-        return cls(**data)
-
-    def to_dict(self) -> dict:
-        return {
-            "enabled": self.enabled,
-            "min_workers": self.min_workers,
-            "max_workers": self.max_workers,
-            "interval_seconds": self.interval_seconds,
-            "backlog_per_worker": self.backlog_per_worker,
-            "latency_high_ms": self.latency_high_ms,
-            "shrink_hit_rate": self.shrink_hit_rate,
-            "cooldown_intervals": self.cooldown_intervals,
-        }
-
-
-@dataclass(frozen=True)
 class BackendConfig:
     """Where the LM forward pass runs and across how many workers.
 
-    ``transport`` (process backend only) picks how columnar batches
-    cross the worker boundary: ``"shm"`` publishes one shared-memory
-    frame per batch, ``"pickle"`` ships the arrays in the task payload,
-    ``"auto"`` (default) prefers shared memory when available — see
-    :mod:`repro.serving.frames`.
+    ``kind = "inline"`` (default) scores on the event loop, which has
+    exactly one lane, so it takes ``workers = 1`` only;
+    ``kind = "threaded"`` shards each batch across ``workers`` threads.
 
     ``compiled`` routes model forwards through a graph-free
     :class:`~repro.nn.inference.InferencePlan` (prepacked weights,
@@ -372,47 +286,37 @@ class BackendConfig:
     the same verdicts at several-fold the throughput; ``"float64"`` is
     the opt-in bitwise mode, identical to the Tensor path bit for bit.
     This field is the one place the serving default is spelled out —
-    the ``precision=`` keywords of :class:`DetectionServer` and
-    :func:`~repro.serving.backends.load_bundle_compiled` read it.
+    the ``precision=`` keyword of :class:`DetectionServer` reads it.
     """
 
-    kind: str = "auto"
+    kind: str = "inline"
     workers: int = 1
-    transport: str = "auto"
     compiled: bool = True
     precision: str = "float32"
 
     def __post_init__(self):
         _as_choice(self.kind, "backend.kind", BACKEND_KINDS)
         _as_int(self.workers, "backend.workers", 1)
-        from repro.serving.frames import FRAME_TRANSPORTS
-
-        _as_choice(self.transport, "backend.transport", FRAME_TRANSPORTS)
+        if self.kind == "inline" and self.workers > 1:
+            raise ConfigError(
+                f"backend.workers = {self.workers} needs backend.kind 'threaded' "
+                "(kind 'inline' scores on the event loop: one lane)"
+            )
         _as_bool(self.compiled, "backend.compiled")
         from repro.nn.inference import PRECISIONS
 
         _as_choice(self.precision, "backend.precision", PRECISIONS)
 
-    @property
-    def resolved_kind(self) -> str:
-        """``kind`` with ``auto`` resolved against the worker count."""
-        if self.kind != "auto":
-            return self.kind
-        return "inline" if self.workers == 1 else "process"
-
     @classmethod
     def from_dict(cls, data: Any, path: str = "backend") -> "BackendConfig":
         data = _require_mapping(data, path)
-        _reject_unknown_keys(
-            data, ("kind", "workers", "transport", "compiled", "precision"), path
-        )
+        _reject_unknown_keys(data, ("kind", "workers", "compiled", "precision"), path)
         return cls(**data)
 
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
             "workers": self.workers,
-            "transport": self.transport,
             "compiled": self.compiled,
             "precision": self.precision,
         }
@@ -666,7 +570,6 @@ class ServingConfig:
     backend: BackendConfig = field(default_factory=BackendConfig)
     session: SessionConfig = field(default_factory=SessionConfig)
     shards: ShardConfig = field(default_factory=ShardConfig)
-    autoscale: AutoscaleConfig = field(default_factory=AutoscaleConfig)
     sinks: tuple[SinkSpec, ...] = ()
     concurrency: int = 8
 
@@ -678,7 +581,6 @@ class ServingConfig:
             ("backend", BackendConfig),
             ("session", SessionConfig),
             ("shards", ShardConfig),
-            ("autoscale", AutoscaleConfig),
         ):
             if not isinstance(getattr(self, attr), cls):
                 raise ConfigError(
@@ -713,7 +615,6 @@ class ServingConfig:
                 "backend",
                 "session",
                 "shards",
-                "autoscale",
                 "sinks",
                 "concurrency",
             ),
@@ -736,7 +637,6 @@ class ServingConfig:
             backend=_section(BackendConfig, data, "backend", path),
             session=_section(SessionConfig, data, "session", path),
             shards=_section(ShardConfig, data, "shards", path),
-            autoscale=_section(AutoscaleConfig, data, "autoscale", path),
             sinks=sinks,
             concurrency=data.get("concurrency", 8),
         )
@@ -748,8 +648,8 @@ class ServingConfig:
         ``.toml`` parses with :mod:`tomllib`, ``.json`` with
         :mod:`json`; anything else is rejected with an actionable
         error.  The file's top level *is* the serving config (tables
-        ``batch`` / ``cache`` / ``backend`` / ``session`` / ``shards``
-        / ``autoscale``, array ``sinks``, scalar ``concurrency``).
+        ``batch`` / ``canonicalize`` / ``cache`` / ``backend`` /
+        ``session`` / ``shards``, array ``sinks``, scalar ``concurrency``).
         """
         path = Path(path)
         suffix = path.suffix.lower()
@@ -783,7 +683,6 @@ class ServingConfig:
             "backend": self.backend.to_dict(),
             "session": self.session.to_dict(),
             "shards": self.shards.to_dict(),
-            "autoscale": self.autoscale.to_dict(),
             "sinks": [spec.to_dict() for spec in self.sinks],
             "concurrency": self.concurrency,
         }

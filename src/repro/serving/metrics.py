@@ -1,6 +1,6 @@
 """Serving-side observability: throughput, latency percentiles, cache stats.
 
-The counters here are what the serving benchmark asserts against —
+The counters here are what the serving benchmark records —
 events/sec with the cache cold vs. warm, p50/p95/p99 per-event latency,
 batch-size distribution, and the cache hit rate that makes streaming
 over repeat-heavy command telemetry tractable at all.
@@ -41,8 +41,6 @@ class ServingMetrics:
         "dropped",
         "cache_hits",
         "cache_misses",
-        "cache_gen_hits",
-        "cache_gen_misses",
         "cache_admission_rejections",
         "front_memo_hits",
         "front_memo_misses",
@@ -65,9 +63,6 @@ class ServingMetrics:
         "scoring_errors",
         "swaps",
         "total_swap_ms",
-        "autoscale_checks",
-        "autoscale_ups",
-        "autoscale_downs",
     )
 
     def __init__(self, latency_reservoir: int = 10_000):
@@ -77,11 +72,6 @@ class ServingMetrics:
         self.dropped = 0
         self.cache_hits = 0
         self.cache_misses = 0
-        #: Cache hit/miss split since the last model swap (generation
-        #: bump) — what a control loop must read, because the lifetime
-        #: split still reflects the purged pre-swap cache.
-        self.cache_gen_hits = 0
-        self.cache_gen_misses = 0
         self.cache_admission_rejections = 0
         #: Front-end memo lookups (one per kept event while
         #: canonicalization is on): a hit skips the canonicalizer for a
@@ -111,9 +101,9 @@ class ServingMetrics:
         self.compiled_batches = 0
         #: Model-forward time split: how much of the batch wall time was
         #: spent inside the scoring backend call itself.  The remainder
-        #: of ``batch_score`` time is pipeline overhead (tokenization,
-        #: dedup, event-loop hops) — the two figures together tell an
-        #: operator whether to optimize the model or the plumbing.
+        #: of the batch time is pipeline overhead (tokenization, dedup,
+        #: event-loop hops) — the two figures together tell an operator
+        #: whether to optimize the model or the plumbing.
         self.model_batches = 0
         self.model_ms_total = 0.0
         self.unique_scored = 0
@@ -121,13 +111,6 @@ class ServingMetrics:
         self.swaps = 0
         self.last_swap_ms = 0.0
         self.total_swap_ms = 0.0
-        #: Autoscaler control-loop accounting (checks / applied resizes).
-        self.autoscale_checks = 0
-        self.autoscale_ups = 0
-        self.autoscale_downs = 0
-        #: Exponential moving average of batch scoring latency (ms) —
-        #: the congestion signal the autoscaler reads.
-        self.batch_score_ewma_ms = 0.0
         self.backend = "inline(workers=1)"
         self.shards = 1
         self.flush_reasons: Counter[str] = Counter()
@@ -177,14 +160,6 @@ class ServingMetrics:
         self.batched_events += size
         self.flush_reasons[reason] += 1
 
-    def record_batch_score(self, duration_ms: float) -> None:
-        """Fold one batch's scoring wall time into the EWMA signal."""
-        duration_ms = float(duration_ms)
-        if self.batch_score_ewma_ms == 0.0:
-            self.batch_score_ewma_ms = duration_ms
-        else:
-            self.batch_score_ewma_ms += 0.3 * (duration_ms - self.batch_score_ewma_ms)
-
     def record_model_time(self, duration_ms: float) -> None:
         """Account one batch's model-forward (backend call) wall time."""
         self.model_batches += 1
@@ -196,20 +171,10 @@ class ServingMetrics:
         self.last_swap_ms = float(duration_ms)
         self.total_swap_ms += float(duration_ms)
 
-    def record_autoscale(self, direction: int) -> None:
-        """Account one autoscaler check (*direction*: -1 down, 0 hold, +1 up)."""
-        self.autoscale_checks += 1
-        if direction > 0:
-            self.autoscale_ups += 1
-        elif direction < 0:
-            self.autoscale_downs += 1
-
     def sync_cache(self, cache) -> None:
-        """Mirror a :class:`~repro.serving.cache.ScoreCache`'s generation
-        and admission counters into the metrics bundle (called by the
-        shard after each event, like ``session_evictions``)."""
-        self.cache_gen_hits = cache.generation_hits
-        self.cache_gen_misses = cache.generation_misses
+        """Mirror a :class:`~repro.serving.cache.ScoreCache`'s admission
+        counter into the metrics bundle (called by the shard after each
+        event, like ``session_evictions``)."""
         self.cache_admission_rejections = cache.admission_rejections
 
     # -- merging (per-shard -> fleet view) ---------------------------------
@@ -224,13 +189,11 @@ class ServingMetrics:
         samples and report only the last shard merged); active time
         combines as a **maximum** — shards run concurrently on one
         loop, so their wall clocks overlap rather than add.
-        ``last_swap_ms`` and the batch-score EWMA take the maximum
-        (most recent / most loaded shard).
+        ``last_swap_ms`` takes the maximum (the most recent swap).
         """
         for attr in self._MERGE_SUM:
             setattr(self, attr, getattr(self, attr) + getattr(other, attr))
         self.last_swap_ms = max(self.last_swap_ms, other.last_swap_ms)
-        self.batch_score_ewma_ms = max(self.batch_score_ewma_ms, other.batch_score_ewma_ms)
         self.flush_reasons.update(other.flush_reasons)
         maxlen = self._latencies_ms.maxlen or 1
         combined = list(self._latencies_ms) + list(other._latencies_ms)
@@ -266,7 +229,7 @@ class ServingMetrics:
 
         Unlike :meth:`snapshot` (a rounded, human-oriented report), this
         form carries everything :meth:`merge` reads — every summed
-        counter, the EWMA and swap figures, the flush-reason histogram,
+        counter, the swap figures, the flush-reason histogram,
         and the **full latency reservoir** — so a bundle shipped across
         a process boundary merges exactly like the original object:
         ``merge(from_dict(to_dict(a)), b)`` equals ``merge(a, b)``.
@@ -276,7 +239,6 @@ class ServingMetrics:
         return {
             **{attr: getattr(self, attr) for attr in self._MERGE_SUM},
             "last_swap_ms": self.last_swap_ms,
-            "batch_score_ewma_ms": self.batch_score_ewma_ms,
             "backend": self.backend,
             "shards": self.shards,
             "flush_reasons": dict(self.flush_reasons),
@@ -302,7 +264,6 @@ class ServingMetrics:
             value = data.get(attr, 0)
             setattr(out, attr, float(value) if attr in float_attrs else int(value))
         out.last_swap_ms = float(data.get("last_swap_ms", 0.0))
-        out.batch_score_ewma_ms = float(data.get("batch_score_ewma_ms", 0.0))
         out.backend = str(data.get("backend", out.backend))
         out.shards = int(data.get("shards", 1))
         out.flush_reasons = Counter(
@@ -325,12 +286,6 @@ class ServingMetrics:
         """Hit fraction among scored (non-dropped) events."""
         scored = self.cache_hits + self.cache_misses
         return self.cache_hits / scored if scored else 0.0
-
-    @property
-    def cache_generation_hit_rate(self) -> float:
-        """Hit fraction since the last model swap (the autoscaler's signal)."""
-        scored = self.cache_gen_hits + self.cache_gen_misses
-        return self.cache_gen_hits / scored if scored else 0.0
 
     @property
     def front_memo_hit_rate(self) -> float:
@@ -364,7 +319,6 @@ class ServingMetrics:
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_hit_rate": round(self.cache_hit_rate, 4),
-            "cache_generation_hit_rate": round(self.cache_generation_hit_rate, 4),
             "cache_admission_rejections": self.cache_admission_rejections,
             "front_memo_hits": self.front_memo_hits,
             "front_memo_misses": self.front_memo_misses,
@@ -388,9 +342,6 @@ class ServingMetrics:
             "scoring_errors": self.scoring_errors,
             "swaps": self.swaps,
             "last_swap_ms": round(self.last_swap_ms, 3),
-            "autoscale_checks": self.autoscale_checks,
-            "autoscale_ups": self.autoscale_ups,
-            "autoscale_downs": self.autoscale_downs,
             "flush_reasons": dict(self.flush_reasons),
             "latency_p50_ms": round(self.latency_percentile(50), 3),
             "latency_p95_ms": round(self.latency_percentile(95), 3),

@@ -97,11 +97,7 @@ class MicroBatcher:
 
     @property
     def pending(self) -> int:
-        """Submissions queued but not yet handed to the handler.
-
-        A cheap congestion signal: the autoscaler sums it across shards
-        to read the serving backlog without touching batch internals.
-        """
+        """Submissions queued but not yet handed to the handler."""
         return self._queue.qsize()
 
     async def start(self) -> None:

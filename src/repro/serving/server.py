@@ -30,11 +30,8 @@ is behaviourally identical to the original single-path event loop.
 :meth:`DetectionServer.swap_model` rotates the whole stack onto a new
 model bundle without dropping an event (the paper's weekly
 continual-learning hand-off), draining **every** shard before the
-rotation so no batch anywhere mixes generations.  An optional
-:class:`~repro.serving.autoscale.Autoscaler` control loop resizes the
-scoring-backend pool from observed backlog, batch latency, and the
-generation-scoped cache hit rate.  Everything is in-process and
-unit-testable without sockets.
+rotation so no batch anywhere mixes generations.  Everything is
+in-process and unit-testable without sockets.
 """
 
 from __future__ import annotations
@@ -46,25 +43,14 @@ import time
 import warnings
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import TextIO
 
 from repro.errors import ConfigError
 from repro.ids.pipeline import IntrusionDetectionService
-from repro.serving.autoscale import Autoscaler, AutoscaleObservation
-from repro.serving.backends import (
-    InlineBackend,
-    ProcessPoolBackend,
-    ScoringBackend,
-    ServiceLoader,
-    ThreadedBackend,
-    load_bundle,
-    load_bundle_compiled,
-)
+from repro.serving.backends import InlineBackend, ScoringBackend, ThreadedBackend
 from repro.serving.cache import ScoreCache
 from repro.serving.config import (
-    AutoscaleConfig,
     BackendConfig,
     CanonicalizeConfig,
     ServingConfig,
@@ -89,7 +75,7 @@ class SwapReport:
         The server's model generation *after* the swap.
     bundle_dir:
         Bundle directory the new model came from (``None`` when the
-        caller handed over a service/loader directly).
+        caller handed over a service directly).
     swap_ms:
         End-to-end wall time of the swap, including loading the new
         bundle and draining the in-flight batches.
@@ -108,64 +94,16 @@ class SwapReport:
 
 
 def backend_from_config(
-    config: BackendConfig,
-    service: IntrusionDetectionService,
-    autoscale: AutoscaleConfig | None = None,
+    config: BackendConfig, service: IntrusionDetectionService
 ) -> ScoringBackend:
     """Build the :class:`ScoringBackend` a :class:`BackendConfig` describes.
 
-    ``auto`` resolves to ``inline`` for one worker and ``process``
-    otherwise — unless *autoscale* is enabled, in which case ``auto``
-    resolves to ``threaded`` (the pool must be resizable, and inline
-    has exactly one unresizable lane; an explicit ``inline`` with
-    autoscaling on is a configuration error).  The process pool needs
-    an on-disk bundle for its workers to deserialize, so a service that
-    was never saved (``service.source_dir is None``) cannot back a
-    process backend — save it first (the CLI does this automatically
-    for the demo service).
-
-    With ``config.compiled`` on, in-process backends score through the
-    *service* (which the server compiles), and process workers get the
-    compiled loader so each worker compiles its own plan from its own
-    deserialized model — the worker-side generation check then makes
-    stale plans impossible by construction.
+    Both kinds score through *service*, which the server compiles in
+    place when ``config.compiled`` is on.
     """
-    if autoscale is not None and autoscale.enabled:
-        if config.kind == "inline":
-            raise ConfigError(
-                "backend.kind 'inline' cannot autoscale (a single in-loop "
-                "scoring lane has no pool to resize); use 'threaded' or "
-                "'process', or disable autoscale"
-            )
-        if config.kind == "auto":
-            # an autoscaled "auto" backend is always the threaded pool,
-            # started at the autoscaler's floor: resizable at any worker
-            # count and with no bundle-directory requirement
-            return ThreadedBackend(
-                service, workers=max(config.workers, autoscale.min_workers)
-            )
-    kind = config.resolved_kind
-    if kind == "inline":
-        return InlineBackend(service)
-    if kind == "threaded":
+    if config.kind == "threaded":
         return ThreadedBackend(service, workers=config.workers)
-    bundle_dir = getattr(service, "source_dir", None)
-    if bundle_dir is None:
-        raise ConfigError(
-            "backend.kind 'process' needs a saved bundle directory to fork "
-            "workers from, but the service has no source_dir; save the "
-            "service (service.save(dir)) or serve it with backend.kind "
-            "'inline'/'threaded'"
-        )
-    loader = None
-    if config.compiled:
-        loader = partial(load_bundle_compiled, str(bundle_dir), config.precision)
-    return ProcessPoolBackend(
-        str(bundle_dir),
-        loader=loader,
-        workers=config.workers,
-        transport=config.transport,
-    )
+    return InlineBackend(service)
 
 
 def _require_sequence_head(mode: str, service) -> None:
@@ -211,7 +149,7 @@ class DetectionServer:
     :meth:`from_config` is the canonical constructor — one typed
     :class:`~repro.serving.config.ServingConfig` describes the whole
     deployment (batching, cache + admission, backend, sessions, shards,
-    autoscaling, sinks + delivery policies).  The keyword arguments
+    sinks + delivery policies).  The keyword arguments
     below remain as a thin compatibility layer over the same machinery.
 
     Parameters
@@ -223,9 +161,8 @@ class DetectionServer:
     backend:
         Scoring execution strategy, shared by every shard (default:
         score inline with *service*).  Pass a
-        :class:`~repro.serving.backends.ThreadedBackend` or
-        :class:`~repro.serving.backends.ProcessPoolBackend` to shard
-        micro-batches across workers — with multiple shards, whole
+        :class:`~repro.serving.backends.ThreadedBackend` to shard
+        micro-batches across threads — with multiple shards, whole
         batches from different shards also overlap.
     max_batch / max_latency_ms:
         Per-shard micro-batch policy: flush on size or on the oldest
@@ -254,7 +191,7 @@ class DetectionServer:
     metrics:
         Optional externally-owned :class:`ServingMetrics` bundle.  With
         one shard it receives everything; with several it receives the
-        control-plane figures (swaps, autoscaling) while each shard
+        control-plane figures (swaps) while each shard
         keeps its own bundle — read :attr:`metrics` for the merged
         fleet view.
     shards / shard_virtual_nodes:
@@ -262,10 +199,6 @@ class DetectionServer:
         to consistent-hash hosts across, and the hash-ring points per
         shard.  ``shards=1`` (default) is behaviourally identical to
         the pre-shard single-path server.
-    autoscale:
-        Optional :class:`~repro.serving.config.AutoscaleConfig`; when
-        enabled (and the backend is resizable) the server runs an
-        :class:`~repro.serving.autoscale.Autoscaler` loop while started.
 
     Example
     -------
@@ -292,7 +225,6 @@ class DetectionServer:
         metrics: ServingMetrics | None = None,
         shards: int = 1,
         shard_virtual_nodes: int = 64,
-        autoscale: AutoscaleConfig | None = None,
         columnar: bool = True,
         canonicalize: CanonicalizeConfig | None = None,
         compiled: bool = True,
@@ -300,7 +232,7 @@ class DetectionServer:
     ):
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        #: Whether in-process scoring should run through a compiled
+        #: Whether scoring should run through a compiled
         #: inference plan (``compiled = false`` is byte-identical to the
         #: pre-compilation pipeline; models the compiler doesn't cover
         #: fall back with a warning).
@@ -325,8 +257,6 @@ class DetectionServer:
         _warn_on_composition_skew(session, service)
         #: The resolved per-host escalation policy (shared by all shards).
         self.session_policy = session
-        #: Autoscaling policy (disabled by default).
-        self.autoscale_policy = autoscale or AutoscaleConfig()
         #: Canonicalization stage policy (disabled by default — off is
         #: byte-identical to the pre-canonicalization pipeline).
         self.canonicalize_policy = canonicalize or CanonicalizeConfig()
@@ -362,8 +292,6 @@ class DetectionServer:
         self._control_metrics.shards = shards
         for runtime in self.shards:
             runtime.metrics.backend = described
-        self.autoscaler: Autoscaler | None = None
-        self._autoscale_task: asyncio.Task | None = None
         self._swap_lock: asyncio.Lock | None = None
 
     # -- shared-state views --------------------------------------------------
@@ -469,7 +397,7 @@ class DetectionServer:
             service = bundle  # an already-constructed service (or test stub)
         if config is None:
             config = getattr(service, "serving_config", None) or ServingConfig()
-        backend = backend_from_config(config.backend, service, autoscale=config.autoscale)
+        backend = backend_from_config(config.backend, service)
         pipeline = DeliveryPipeline()
         registry = registry or DEFAULT_SINK_REGISTRY
         for spec in config.sinks:
@@ -487,7 +415,6 @@ class DetectionServer:
             metrics=metrics,
             shards=config.shards.count,
             shard_virtual_nodes=config.shards.virtual_nodes,
-            autoscale=config.autoscale,
             columnar=config.batch.columnar,
             canonicalize=config.canonicalize,
             compiled=config.backend.compiled,
@@ -510,29 +437,11 @@ class DetectionServer:
         self._control_metrics.mark_start()
         self.sinks.start()
         await self._ctx.backend.start()
-        # pay one-time scoring costs (worker hydration, plan scratch,
-        # lazy tokenizers) before the first real batch can observe them
+        # pay one-time scoring costs (plan scratch, lazy tokenizers)
+        # before the first real batch can observe them
         await self._ctx.backend.warm_up()
         for runtime in self.shards:
             await runtime.start()
-        if self.autoscale_policy.enabled:
-            if self._ctx.backend.can_resize:
-                self.autoscaler = Autoscaler(
-                    self.autoscale_policy,
-                    self._observe,
-                    self._apply_workers,
-                    metrics=self._control_metrics,
-                )
-                self._autoscale_task = asyncio.get_running_loop().create_task(
-                    self.autoscaler.run()
-                )
-            else:
-                warnings.warn(
-                    f"autoscale.enabled with a fixed backend "
-                    f"({self._ctx.backend.describe()}); the pool cannot be "
-                    "resized, so the autoscaler was not started",
-                    stacklevel=2,
-                )
 
     async def stop(self) -> None:
         """Drain every shard, stop the backend, close sinks, freeze clocks.
@@ -541,31 +450,11 @@ class DetectionServer:
         delivered, retried out, or dead-lettered — run it off-loop so
         sink backoff never stalls the event loop.
         """
-        autoscale_failure: BaseException | None = None
-        if self._autoscale_task is not None:
-            self._autoscale_task.cancel()
-            try:
-                await self._autoscale_task
-            except asyncio.CancelledError:
-                # distinguish the task's expected cancellation from
-                # stop() itself being cancelled (e.g. wait_for timeout):
-                # the latter must propagate, not be absorbed here
-                current = asyncio.current_task()
-                if current is not None and current.cancelling():
-                    self._autoscale_task = None
-                    raise
-            except BaseException as exc:
-                # a dead control loop must not abort shutdown: drain the
-                # shards and deliver queued alerts first, then surface it
-                autoscale_failure = exc
-            self._autoscale_task = None
         for runtime in self.shards:
             await runtime.stop()
         await self._ctx.backend.stop()
         await asyncio.to_thread(self.sinks.close)
         self._control_metrics.mark_stop()
-        if autoscale_failure is not None:
-            raise autoscale_failure
 
     async def __aenter__(self) -> "DetectionServer":
         await self.start()
@@ -644,7 +533,6 @@ class DetectionServer:
         bundle_dir: str | None = None,
         *,
         service: IntrusionDetectionService | None = None,
-        loader: ServiceLoader | None = None,
     ) -> SwapReport:
         """Atomically rotate the server onto a new model bundle.
 
@@ -664,35 +552,26 @@ class DetectionServer:
         - *bundle_dir* — a :meth:`IntrusionDetectionService.save`
           directory (the normal production path, e.g. from
           :meth:`ContinualLearner.export_service`);
-        - *service* (plus *loader* when the backend runs worker
-          processes) — pre-constructed objects, used by tests.
+        - *service* — a pre-constructed service, used by tests.
+
+        Either way the incoming service is compiled under the server's
+        compilation policy before it serves, so a swap never rotates
+        onto the tape while the old generation served a plan.
 
         Note the calibrated threshold swaps together with the model:
         an event scored by the old model but thresholded after the swap
         uses the new threshold (the race window is one batch wide).
         """
-        if bundle_dir is None and service is None and loader is None:
-            raise ValueError("swap_model needs a bundle_dir, a service, or a loader")
-        if loader is None and bundle_dir is not None:
-            # the incoming generation inherits the server's compilation
-            # policy — worker processes rebuild their plan from this
-            # loader on generation mismatch, so a swap can never leave a
-            # stale (old-weights) plan serving traffic
-            if self.compiled:
-                loader = partial(load_bundle_compiled, str(bundle_dir), self.precision)
-            else:
-                loader = partial(load_bundle, str(bundle_dir))
+        if bundle_dir is None and service is None:
+            raise ValueError("swap_model needs a bundle_dir or a service")
         if self._swap_lock is None:
             raise RuntimeError("DetectionServer is not running; call start() first")
         async with self._swap_lock:
             started = time.perf_counter()
             if service is None:
                 # deserialize off-loop: scoring with the old model continues
-                service = await asyncio.to_thread(loader)
-            elif self.compiled and hasattr(service, "compile_inference"):
-                # pre-constructed service (test path): compile it here so
-                # the in-loop reference never serves the tape while the
-                # workers serve a plan
+                service = await asyncio.to_thread(IntrusionDetectionService.load, bundle_dir)
+            if self.compiled and hasattr(service, "compile_inference"):
                 await asyncio.to_thread(service.compile_inference, self.precision)
             # a sequence-mode server must never rotate onto a bundle that
             # lost its second stage — fail before touching the backend
@@ -704,10 +583,10 @@ class DetectionServer:
                 for runtime in self.shards:
                     await stack.enter_async_context(runtime.score_lock)
                 drain_ms = (time.perf_counter() - drain_started) * 1000.0
-                await self._ctx.backend.swap(service=service, loader=loader)
+                await self._ctx.backend.swap(service)
                 # warm the new generation while scoring is still quiesced:
-                # the first post-swap batch must not pay worker rehydration
-                # or plan-scratch allocation (no p99 spike across a swap)
+                # the first post-swap batch must not pay plan-scratch
+                # allocation (no p99 spike across a swap)
                 await self._ctx.backend.warm_up()
                 self._ctx.service = service
                 self._ctx.generation += 1
@@ -725,58 +604,6 @@ class DetectionServer:
                 drain_ms=drain_ms,
                 cache_invalidated=invalidated,
             )
-
-    async def resize_backend(self, workers: int) -> bool:
-        """Resize the scoring-backend pool to *workers* (quiesced).
-
-        The operational twin of the autoscaler's actuator — exposed so a
-        control plane (``repro-ids fleet-admin resize``) can size the
-        pool explicitly.  Returns whether the pool actually changed;
-        raises :class:`~repro.errors.ConfigError` for a backend that
-        cannot resize (inline has exactly one lane).
-        """
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if not self._ctx.backend.can_resize:
-            raise ConfigError(
-                f"backend {self._ctx.backend.describe()} cannot resize; "
-                "serve with backend.kind 'threaded' or 'process'"
-            )
-        return await self._apply_workers(workers)
-
-    # -- autoscaling internals -----------------------------------------------
-
-    def _observe(self) -> AutoscaleObservation:
-        """One sample of the serving plane for the autoscaler."""
-        backlog = sum(runtime.pending for runtime in self.shards)
-        latency = max(runtime.metrics.batch_score_ewma_ms for runtime in self.shards)
-        gen_hits = sum(runtime.cache.generation_hits for runtime in self.shards)
-        gen_misses = sum(runtime.cache.generation_misses for runtime in self.shards)
-        scored = gen_hits + gen_misses
-        return AutoscaleObservation(
-            workers=self._ctx.backend.workers,
-            backlog=backlog,
-            batch_latency_ms=latency,
-            hit_rate=gen_hits / scored if scored else 0.0,
-            batches=sum(runtime.metrics.batches for runtime in self.shards),
-        )
-
-    async def _apply_workers(self, target: int) -> bool:
-        """Quiesce scoring fleet-wide and resize the backend pool."""
-        async with contextlib.AsyncExitStack() as stack:
-            for runtime in self.shards:
-                await stack.enter_async_context(runtime.score_lock)
-            changed = await self._ctx.backend.resize(target)
-            if changed:
-                # any freshly spawned worker hydrates + warms before the
-                # quiesce lifts, so scale-up never serves a cold lane
-                await self._ctx.backend.warm_up()
-        if changed:
-            described = self._ctx.backend.describe()
-            self._control_metrics.backend = described
-            for runtime in self.shards:
-                runtime.metrics.backend = described
-        return changed
 
 
 def serve_stream(

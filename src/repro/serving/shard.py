@@ -219,18 +219,12 @@ class ShardRuntime:
     def score_lock(self) -> asyncio.Lock:
         """The lock every batch of this shard scores under.
 
-        ``swap_model`` (and pool resizes) acquire **all** shards' locks
-        to quiesce scoring fleet-wide before touching the shared
-        backend.
+        ``swap_model`` acquires **all** shards' locks to quiesce scoring
+        fleet-wide before touching the shared backend.
         """
         if self._score_lock is None:
             raise RuntimeError("shard is not running; call start() first")
         return self._score_lock
-
-    @property
-    def pending(self) -> int:
-        """Events queued in this shard's batcher (autoscaler signal)."""
-        return self.batcher.pending
 
     def reset_front(self) -> None:
         """Rebuild the canonicalizer from the live service; empty the memo.
@@ -437,7 +431,6 @@ class ShardRuntime:
             raise RuntimeError("shard is not running; call start() first")
         async with self._score_lock:
             generation = ctx.generation
-            score_started = time.perf_counter()
             try:
                 if self._columnar_active():
                     batch = ctx.service.encode_batch(lines)
@@ -456,7 +449,6 @@ class ShardRuntime:
             self.metrics.record_model_time((finished - model_started) * 1000.0)
             if getattr(ctx.service, "inference_compiled", False):
                 self.metrics.compiled_batches += 1
-            self.metrics.record_batch_score((finished - score_started) * 1000.0)
         return scores, generation
 
     async def _score_batch(self, lines: list[str]) -> list[tuple[float, int]]:

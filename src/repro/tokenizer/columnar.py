@@ -7,8 +7,8 @@ chunk.  :class:`ColumnarTokenizer` precompiles the per-word BPE
 segmentation into id *arrays* and emits a whole micro-batch as one
 :class:`TokenBatch` — a padded ``(N, W)`` int64 id matrix plus per-row
 lengths — so everything downstream (embedding, classification,
-shared-memory transport to worker processes) operates on contiguous
-buffers without per-line Python loops.
+row-block scoring on a thread pool) operates on contiguous buffers
+without per-line Python loops.
 
 Correctness contract: for every line, the row of
 :meth:`ColumnarTokenizer.encode` is **identical** to
@@ -65,8 +65,8 @@ class TokenBatch:
         """A row-subset batch (*selector*: slice or integer array).
 
         Slices are views into the parent arrays (zero-copy — the shape
-        worker processes score shared-memory frames through); fancy
-        indexing copies, as numpy always does.
+        the threaded backend scores row blocks through); fancy indexing
+        copies, as numpy always does.
         """
         return TokenBatch(
             ids=self.ids[selector],

@@ -374,18 +374,6 @@ class TestControlPlane:
         submitted = {(host, line) for line, host in events}
         assert submitted <= harness.all_alert_keys()
 
-    def test_resize_refused_on_inline_backend_via_router(self):
-        async def scenario():
-            harness = await start_fleet(1)
-            try:
-                async with FleetRouter(harness.config, heartbeats=False) as router:
-                    with pytest.raises(FleetError, match="refused resize"):
-                        await router.resize_node(harness.nodes[0].address, 4)
-            finally:
-                await stop_fleet(harness)
-
-        run(scenario())
-
 
 class TestBackpressure:
     def test_inflight_window_is_bounded(self, stream):

@@ -12,6 +12,9 @@ import pytest
 
 from repro.preprocess import Normalizer
 
+#: Thread count for the tests that run the threaded backend.
+THREADED_WORKERS = 2
+
 
 class StubService:
     """Deterministic service stub: score 0.9 for 'evil' lines, 0.1 otherwise."""
@@ -87,13 +90,8 @@ def two_stage_demo_service():
 
 @pytest.fixture(scope="session")
 def demo_bundle(demo_service, tmp_path_factory):
-    """The demo service saved as a bundle directory (for process workers)."""
+    """The demo service saved as a bundle directory (for tests that load,
+    swap to, or serve a bundle from disk)."""
     bundle = tmp_path_factory.mktemp("serving") / "bundle"
     demo_service.save(bundle)
     return str(bundle)
-
-
-@pytest.fixture
-def backend_workers(request):
-    """Worker count for parallel-backend tests (CI passes ``--workers 2``)."""
-    return max(2, request.config.getoption("--workers"))

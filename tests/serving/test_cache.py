@@ -176,36 +176,6 @@ class TestGenerationInvalidation:
         assert cache.lookup("a") == (0.6, 1)
 
 
-class TestGenerationCounters:
-    def test_generation_hit_rate_resets_on_swap(self):
-        """The lifetime hit rate keeps advertising the purged pre-swap
-        cache; the per-generation split must not."""
-        cache = ScoreCache(capacity=8)
-        cache.get("a")  # initial miss
-        cache.put("a", 0.5)
-        for _ in range(9):
-            cache.get("a")
-        assert cache.hit_rate == pytest.approx(0.9)  # 9 hits, 1 initial miss
-        cache.bump_generation()
-        assert cache.generation_hits == 0 and cache.generation_misses == 0
-        assert cache.generation_hit_rate == 0.0
-        cache.get("a")  # cold after the purge
-        assert cache.generation_misses == 1
-        assert cache.generation_hit_rate == 0.0
-        # lifetime figures still include the pre-swap warmth
-        assert cache.hit_rate > 0.8
-
-    def test_generation_counters_track_current_generation_only(self):
-        cache = ScoreCache(capacity=8)
-        cache.get("a")
-        cache.bump_generation()
-        cache.put("a", 0.5)
-        cache.get("a")
-        cache.get("b")
-        assert (cache.generation_hits, cache.generation_misses) == (1, 1)
-        assert (cache.hits, cache.misses) == (1, 2)
-
-
 class TestFrequencySketch:
     def test_estimate_tracks_recorded_accesses(self):
         sketch = FrequencySketch(capacity=16)

@@ -6,22 +6,21 @@ The contract under test, layer by layer:
   Tensor path (no extra forwards, no plan on the service);
 - ``compiled=true`` at float64 produces bitwise-identical scores and
   verdicts while the service reports ``inference_compiled``;
-- a hot swap can never serve a stale plan — the in-loop service is
-  compiled before rotation and process workers rebuild their plan
-  behind the generation key baked into the compiled loader;
+- a hot swap can never serve a stale plan — the incoming service is
+  compiled before rotation, whether it arrives as a service or as a
+  bundle directory;
 - warm-up pays the one-time costs (plan scratch, lazy tokenizers)
   inside ``start``/``swap_model``, before the first real batch.
 """
 
 import asyncio
-from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.serving import DetectionServer, ProcessPoolBackend, serve_stream
-from repro.serving.backends import _warm_service, load_bundle_compiled
+from repro.serving import DetectionServer, serve_stream
+from repro.serving.backends import _warm_service
 from repro.serving.cli import build_serve_parser, resolve_config
 from repro.serving.config import BackendConfig, ServingConfig
 from repro.serving.demo import DEMO_BENIGN, DEMO_MALICIOUS
@@ -174,32 +173,6 @@ class TestSwapFencing:
         swapped = run(scenario())
         assert not service.inference_compiled
         assert not swapped.inference_compiled
-
-    def test_process_workers_rebuild_plan_per_generation(self, demo_bundle):
-        """Worker processes can never serve a stale plan: the compiled
-        loader is keyed by backend generation, so a swap rehydrates and
-        recompiles inside each worker."""
-        loader = partial(load_bundle_compiled, demo_bundle, "float64")
-        service = fresh_service(demo_bundle)
-        lines = [service.preprocess(line) for line in STREAM]
-        want = np.asarray(service.score_normalized(lines))
-
-        async def scenario():
-            backend = ProcessPoolBackend(demo_bundle, loader=loader, workers=1)
-            try:
-                await backend.start()
-                first = await backend.score(lines)
-                await backend.swap(loader=loader)
-                second = await backend.score(lines)
-            finally:
-                await backend.stop()
-            return np.asarray(first), np.asarray(second)
-
-        first, second = run(scenario())
-        # compiled float64 in a worker process scores bitwise like the
-        # local tape, before and after the generation bump
-        assert np.array_equal(first, want)
-        assert np.array_equal(second, want)
 
 
 class TestWarmUp:

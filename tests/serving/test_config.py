@@ -50,6 +50,43 @@ FULL_CONFIG = {
     "concurrency": 4,
 }
 
+#: ``ServingConfig().to_dict()`` as bundles recorded it while serving
+#: still had a process-pool backend and an autoscaler.
+PARENT_ERA_CONFIG = {
+    "batch": {"max_batch": 32, "max_latency_ms": 25.0, "columnar": True},
+    "canonicalize": {"enabled": False, "decode_base64": True, "max_passes": 4},
+    "cache": {"size": 4096, "admission": "lru"},
+    "backend": {
+        "kind": "auto",
+        "workers": 1,
+        "transport": "auto",
+        "compiled": True,
+        "precision": "float32",
+    },
+    "session": {
+        "window_seconds": 300.0,
+        "escalation_threshold": 5,
+        "mode": "count",
+        "sequence_threshold": 0.5,
+        "context_window": 3,
+        "context_max_gap_seconds": 180.0,
+        "max_hosts": 100000,
+    },
+    "shards": {"count": 1, "virtual_nodes": 64},
+    "autoscale": {
+        "enabled": False,
+        "min_workers": 1,
+        "max_workers": 0,
+        "interval_seconds": 0.25,
+        "backlog_per_worker": 16,
+        "latency_high_ms": 200.0,
+        "shrink_hit_rate": 0.9,
+        "cooldown_intervals": 4,
+    },
+    "sinks": [],
+    "concurrency": 8,
+}
+
 
 class TestRoundTrip:
     def test_defaults_round_trip(self):
@@ -122,7 +159,7 @@ class TestValidationErrors:
             ({"batch": {"max_latency_ms": 0}}, "batch.max_latency_ms must be > 0"),
             ({"cache": {"size": -1}}, "cache.size must be >= 0"),
             ({"cache": {"ttl_seconds": 0}}, "cache.ttl_seconds must be > 0"),
-            ({"backend": {"kind": "gpu"}}, "'auto', 'inline', 'threaded', 'process'"),
+            ({"backend": {"kind": "gpu"}}, "'inline', 'threaded' (got 'gpu')"),
             ({"backend": {"workers": 0}}, "backend.workers must be >= 1"),
             ({"session": {"escalation_threshold": 0}}, "session.escalation_threshold"),
             ({"session": {"mode": "markov"}}, "'count', 'sequence', 'hybrid'"),
@@ -139,6 +176,11 @@ class TestValidationErrors:
             ({"sinks": [{"uri": "ring://8", "policy": {"queue_size": 0}}]},
              "policy.queue_size must be >= 1"),
             ({"batch": 7}, "must be a table"),
+            ({"backend": {"kind": "process"}}, "'inline', 'threaded' (got 'process')"),
+            ({"backend": {"kind": "auto"}}, "'inline', 'threaded' (got 'auto')"),
+            ({"backend": {"transport": "shm"}}, "unknown key 'transport' (valid keys: kind,"),
+            ({"autoscale": {"enabled": True}}, "unknown key 'autoscale' (valid keys: batch,"),
+            ({"backend": {"kind": "inline", "workers": 2}}, "needs backend.kind 'threaded'"),
         ],
     )
     def test_actionable_messages(self, data, fragment):
@@ -186,13 +228,6 @@ class TestValidationErrors:
             ServingConfig.from_file(path)
 
 
-class TestBackendResolution:
-    def test_auto_resolves_by_worker_count(self):
-        assert BackendConfig(kind="auto", workers=1).resolved_kind == "inline"
-        assert BackendConfig(kind="auto", workers=4).resolved_kind == "process"
-        assert BackendConfig(kind="threaded", workers=4).resolved_kind == "threaded"
-
-
 class TestFromConfig:
     def test_builds_running_server_with_configured_knobs(self, stub_service):
         config = ServingConfig.from_dict(
@@ -224,12 +259,6 @@ class TestFromConfig:
     def test_defaults_when_no_config_given(self, stub_service):
         server = DetectionServer.from_config(stub_service)
         assert server.config == ServingConfig()
-
-    def test_process_backend_without_bundle_is_actionable(self, stub_service):
-        stub_service.source_dir = None
-        config = ServingConfig.from_dict({"backend": {"kind": "process", "workers": 2}})
-        with pytest.raises(ConfigError, match="source_dir"):
-            DetectionServer.from_config(stub_service, config)
 
     @pytest.mark.parametrize("mode", ["sequence", "hybrid"])
     def test_sequence_mode_without_multiline_head_fails_fast(self, stub_service, mode):
@@ -280,17 +309,32 @@ class TestBundleRecording:
         registered, or keys from another version)."""
         from repro.ids.pipeline import IntrusionDetectionService
 
-        bundle = tmp_path / "bundle"
-        demo_service.save(bundle)
-        meta_path = bundle / "service.json"
-        meta = json.loads(meta_path.read_text())
-        meta["serving_config"] = {"batch": {"max_batchh": 4}}
-        meta_path.write_text(json.dumps(meta))
+        for name, recorded in (
+            ("typo", {"batch": {"max_batchh": 4}}),
+            ("parent-era", PARENT_ERA_CONFIG),
+        ):
+            bundle = tmp_path / name
+            demo_service.save(bundle)
+            meta_path = bundle / "service.json"
+            meta = json.loads(meta_path.read_text())
+            meta["serving_config"] = recorded
+            meta_path.write_text(json.dumps(meta))
 
+            with pytest.warns(UserWarning, match="ignoring invalid serving_config"):
+                restored = IntrusionDetectionService.load(bundle)
+            assert restored.serving_config is None
+            assert restored.threshold == demo_service.threshold
+
+        # the parent-era bundle serves with the defaults
         with pytest.warns(UserWarning, match="ignoring invalid serving_config"):
-            restored = IntrusionDetectionService.load(bundle)
-        assert restored.serving_config is None
-        assert restored.threshold == demo_service.threshold
+            server = DetectionServer.from_config(bundle, record=False)
+        assert server.config == ServingConfig()
+
+        async def scenario():
+            async with server:
+                return await server.submit("ls -la", host="h1")
+
+        assert not asyncio.run(scenario()).dropped
 
     def test_from_config_records_into_bundle(self, demo_service, tmp_path):
         config = ServingConfig.from_dict({"sinks": ["ring://4"]})

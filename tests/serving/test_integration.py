@@ -5,6 +5,7 @@ import json
 from repro.serving import RingBufferSink, ServingConfig, serve_stream
 from repro.serving.cli import parse_event, serve_main
 from repro.serving.demo import DEMO_BENIGN, DEMO_MALICIOUS
+from tests.serving.conftest import THREADED_WORKERS
 
 
 class TestStreamingAgainstRealService:
@@ -110,8 +111,8 @@ class TestServeCli:
         assert "training a small demo service" not in output
         assert "serving metrics" in output
 
-    def test_serve_with_process_workers(self, demo_bundle, tmp_path, capsys, backend_workers):
-        """--workers N shards scoring across worker processes end to end."""
+    def test_serve_with_threaded_workers(self, demo_bundle, tmp_path, capsys):
+        """--backend threaded --workers N shards scoring across threads end to end."""
         stream = tmp_path / "input.log"
         stream.write_text("\n".join((DEMO_BENIGN + DEMO_MALICIOUS) * 2) + "\n")
 
@@ -119,7 +120,8 @@ class TestServeCli:
             [
                 "--input", str(stream),
                 "--bundle", demo_bundle,
-                "--workers", str(backend_workers),
+                "--backend", "threaded",
+                "--workers", str(THREADED_WORKERS),
                 "--quiet",
                 "--max-latency-ms", "10",
             ]
@@ -127,12 +129,16 @@ class TestServeCli:
 
         assert code == 0
         output = capsys.readouterr().out
-        assert f"process(workers={backend_workers})" in output
+        assert f"threaded(workers={THREADED_WORKERS})" in output
         assert "serving metrics" in output
 
     def test_serve_rejects_bad_workers(self, capsys):
         code = serve_main(["--workers", "0", "--input", "/dev/null"])
         assert code == 2
+        # several workers need the threaded backend: inline has one lane
+        code = serve_main(["--workers", "2", "--input", "/dev/null"])
+        assert code == 2
+        assert "needs backend.kind 'threaded'" in capsys.readouterr().err
 
     def test_serve_rejects_bad_config_file(self, tmp_path, capsys):
         config = tmp_path / "serve.toml"

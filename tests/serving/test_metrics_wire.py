@@ -1,10 +1,10 @@
 """Metrics wire-format tests: lossless round-trip, merge equivalence.
 
-The fleet control plane ships :class:`ServingMetrics` across process
-boundaries as ``to_dict()`` JSON and merges the rebuilt bundles into
-fleet totals, so the wire form must carry **everything** ``merge``
-reads: every summed counter, the flush-reason histogram, the EWMA and
-swap figures, and the full latency reservoir.  The property under test
+The fleet control plane ships :class:`ServingMetrics` across the wire
+as ``to_dict()`` JSON and merges the rebuilt bundles into fleet totals,
+so the wire form must carry **everything** ``merge`` reads: every
+summed counter, the flush-reason histogram, the swap figures, and the
+full latency reservoir.  The property under test
 is merge equivalence — ``merge(from_dict(to_dict(a)), b)`` must equal
 ``merge(a, b)`` — which is exactly what makes fleet-wide totals and
 percentiles trustworthy.
@@ -41,7 +41,6 @@ def populated_bundle(
     metrics.last_swap_ms = 5.5
     metrics.backend = "threaded(workers=2)"
     metrics.flush_reasons.update({"size": 3, "latency": 7})
-    metrics.record_batch_score(4.0)
     for value in latencies if latencies is not None else [float(i) for i in range(50)]:
         metrics._latencies_ms.append(value)
     metrics.mark_stop()  # frozen clock: elapsed is a snapshot, like a wire form
@@ -56,7 +55,6 @@ class TestRoundTrip:
         for attr in COUNTERS:
             assert getattr(rebuilt, attr) == getattr(source, attr), attr
         assert rebuilt.last_swap_ms == source.last_swap_ms
-        assert rebuilt.batch_score_ewma_ms == source.batch_score_ewma_ms
         assert rebuilt.backend == source.backend
         assert rebuilt.flush_reasons == source.flush_reasons
         assert rebuilt.elapsed_seconds == source.elapsed_seconds
@@ -79,6 +77,25 @@ class TestRoundTrip:
         assert rebuilt.events_total == 7
         assert rebuilt.alerts == 0
         assert rebuilt.elapsed_seconds == 0.0
+
+        # a node still on the autoscaler-era wire form merges with a
+        # current one; the counters only that era had are dropped
+        parent_era = {
+            **populated_bundle(events=40).to_dict(),
+            "cache_gen_hits": 12,
+            "cache_gen_misses": 3,
+            "autoscale_checks": 9,
+            "autoscale_ups": 1,
+            "autoscale_downs": 2,
+            "batch_score_ewma_ms": 4.0,
+        }
+        merged = ServingMetrics.merged(
+            [ServingMetrics.from_dict(parent_era), populated_bundle(events=60)]
+        )
+        assert merged.events_total == 100
+        assert merged.swaps == 4
+        assert "autoscale_checks" not in merged.to_dict()
+        assert "cache_gen_hits" not in merged.snapshot()
 
     def test_reservoir_capacity_travels(self):
         source = populated_bundle(reservoir=16, latencies=[float(i) for i in range(40)])

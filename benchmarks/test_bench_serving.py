@@ -259,9 +259,9 @@ class _FixedCostService:
     def __init__(self, batch_cost_s: float = 0.004):
         self.batch_cost_s = batch_cost_s
 
-    def preprocess(self, raw: str) -> str | None:
-        line = " ".join(raw.split())
-        return line or None
+    def preprocess(self, raw: str, *, with_ast: bool = False):
+        line = " ".join(raw.split()) or None
+        return (line, None) if with_ast and line else line
 
     def score_normalized(self, lines):
         time.sleep(self.batch_cost_s)
@@ -366,9 +366,9 @@ class _ColumnarFixedCostService:
         self.per_row_s = per_row_s
         self.batch_calls = 0
 
-    def preprocess(self, raw: str) -> str | None:
-        line = " ".join(raw.split())
-        return line or None
+    def preprocess(self, raw: str, *, with_ast: bool = False):
+        line = " ".join(raw.split()) or None
+        return (line, None) if with_ast and line else line
 
     def encode_batch(self, lines):
         return self._columnar.encode(list(lines))

@@ -187,9 +187,9 @@ def main() -> int:
             def __init__(self, known):
                 self.known = known
 
-            def preprocess(self, raw):
-                line = " ".join(raw.split())
-                return line or None
+            def preprocess(self, raw, *, with_ast=False):
+                line = " ".join(raw.split()) or None
+                return (line, None) if with_ast and line else line
 
             def score_normalized(self, lines):
                 return np.array([0.9 if line in self.known else 0.1 for line in lines])

@@ -25,6 +25,7 @@ from repro.lm.checkpoint import load_pretrained, save_pretrained
 from repro.lm.encoder_api import CommandEncoder
 from repro.nn.serialization import save_module
 from repro.preprocess.normalizer import Normalizer
+from repro.shell.ast_nodes import CommandList
 from repro.shell.validate import CommandLineValidator
 from repro.tuning.classification import ClassificationTuner
 
@@ -213,18 +214,27 @@ class IntrusionDetectionService:
 
     # -- inference -----------------------------------------------------------
 
-    def preprocess(self, raw: str) -> str | None:
+    def preprocess(
+        self, raw: str, *, with_ast: bool = False
+    ) -> str | tuple[str, CommandList] | None:
         """Normalize and validate one raw log line.
 
         Returns the normalized command line, or ``None`` when the line
         is dropped (empty after normalization or un-parseable —
         Section II-A).  This is the per-event entry point the streaming
         server (:mod:`repro.serving`) calls before consulting its cache.
+        With ``with_ast=True`` a kept line comes back as ``(line, ast)``:
+        the :class:`~repro.shell.ast_nodes.CommandList` the validity
+        check parsed, which the server's canonicalizer rewrites instead
+        of parsing the line again.
         """
         line = self.normalizer(raw)
-        if not line or not self._validator.is_valid(line):
+        if not line:
             return None
-        return line
+        ast = self._validator.parse_or_none(line)
+        if ast is None:
+            return None
+        return (line, ast) if with_ast else line
 
     def score_normalized(self, lines: Sequence[str]) -> np.ndarray:
         """Score lines that already passed :meth:`preprocess`.

@@ -346,14 +346,19 @@ class InferencePlan:
 
         Replicates :func:`repro.nn.functional.layer_norm` ufunc-for-ufunc
         (mean, centered, ``centered ** 2`` mean, ``1.0 / sqrt(var+eps)``,
-        scale, shift) so float64 results are bit-equal. *src* is
-        clobbered; *out* may alias *src*.
+        scale, shift) so float64 results are bit-equal.  Each mean is
+        the two ufuncs ``np.mean`` issues — a sum, then an unsafe-cast
+        divide by an ``intp`` count — without its Python overhead.
+        *src* is clobbered; *out* may alias *src*.
         """
         mu, var, sq = buf["mu"], buf["var"], buf["sq"]
-        np.mean(src, axis=-1, keepdims=True, out=mu)
+        count = np.intp(src.shape[-1])
+        np.add.reduce(src, axis=-1, keepdims=True, out=mu)
+        np.true_divide(mu, count, out=mu, casting="unsafe")
         np.subtract(src, mu, out=src)
         np.power(src, 2, out=sq)
-        np.mean(sq, axis=-1, keepdims=True, out=var)
+        np.add.reduce(sq, axis=-1, keepdims=True, out=var)
+        np.true_divide(var, count, out=var, casting="unsafe")
         np.add(var, eps, out=var)
         np.sqrt(var, out=var)
         np.divide(1.0, var, out=var)

@@ -59,7 +59,6 @@ from repro.shell.ast_nodes import (
     CommandList,
     Pipeline,
     SimpleCommand,
-    Subshell,
     Word,
 )
 from repro.shell.lexer import Lexer, TokenKind
@@ -78,6 +77,9 @@ _SAFE_WORD_RE = re.compile(r"^[A-Za-z0-9_@%+=:,./-]+$")
 _EMPTY_DEFAULT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*:?-$")
 
 _ASSIGNMENT_WORD_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*=")
+# Names the parser reads by position rather than as a command name: "!"
+# opens a negation, "{" / "}" a brace group, and NAME=value an assignment.
+_POSITIONAL_NAME_RE = re.compile(r"[!{}]\Z|[A-Za-z_][A-Za-z0-9_]*=")
 
 _BASE64_PAYLOAD_RE = re.compile(r"^[A-Za-z0-9+/]+={0,2}$")
 
@@ -180,45 +182,63 @@ class Canonicalizer:
     # ------------------------------------------------------------------
     # public API
 
-    def canonicalize(self, line: str) -> CanonicalizeResult:
-        """Return the canonical form of *line*; never raises."""
+    def canonicalize(self, line: str, ast: CommandList | None = None) -> CanonicalizeResult:
+        """Return the canonical form of *line*; never raises.
+
+        *ast* is *line* already parsed — the validity parse's
+        :class:`CommandList`, handed over so a line is parsed once.  It
+        is rewritten in place, so the caller must not use it afterwards.
+        Without it the canonicalizer parses *line* itself.
+        """
         if not line or not line.strip():
             return CanonicalizeResult(text=line)
         if _trivially_canonical(line):
             return CanonicalizeResult(text=line)
-        return self._canonicalize_text(line, depth=0)
+        return self._canonicalize_text(line, 0, ast)[0]
 
-    def __call__(self, line: str) -> CanonicalizeResult:
-        return self.canonicalize(line)
+    def __call__(self, line: str, ast: CommandList | None = None) -> CanonicalizeResult:
+        return self.canonicalize(line, ast)
 
     # ------------------------------------------------------------------
     # core loop
 
-    def _canonicalize_text(self, line: str, depth: int) -> CanonicalizeResult:
-        state = {"decoded": False}
-        text = line
-        ok = True
-        reason: str | None = None
-        for _ in range(self.max_passes):
+    def _canonicalize_text(
+        self, line: str, depth: int, ast: CommandList | None = None
+    ) -> tuple[CanonicalizeResult, CommandList | None]:
+        """Canonicalize *line* (parsed as *ast*, if given); also return
+        the rewritten AST, or ``None`` when *line* does not parse.
+
+        Rewrites run on the one AST until its unparsed text stops
+        changing.  The text is parsed again only after a pass that left
+        a word the parser reads by position, so every pass sees the
+        structure a parse of the previous pass's text would give.
+        """
+        if ast is None:
             try:
-                ast = self._parser.parse(text)
+                ast = self._parser.parse(line)
             except ShellSyntaxError:
-                if text == line:
-                    ok = False
-                    reason = self._failure_reason(line)
-                break
+                reason = self._failure_reason(line)
+                return CanonicalizeResult(text=line, ok=False, reason=reason), None
+        state = {"decoded": False, "reparse": False}
+        text = line
+        for _ in range(self.max_passes):
+            if state["reparse"]:
+                # the last pass left a word the parser reads by position
+                # (see _POSITIONAL_NAME_RE): continue from the parse of
+                # its text, as a later canonicalize of that text would
+                state["reparse"] = False
+                try:
+                    ast = self._parser.parse(text)
+                except ShellSyntaxError:
+                    ast = None
+                    break
             self._rewrite_list(ast, depth, state)
             new_text = unparse_list(ast)
             if new_text == text:
                 break
             text = new_text
-        return CanonicalizeResult(
-            text=text,
-            ok=ok,
-            changed=text != line,
-            reason=reason,
-            decoded=state["decoded"],
-        )
+        result = CanonicalizeResult(text=text, changed=text != line, decoded=state["decoded"])
+        return result, ast
 
     def _failure_reason(self, line: str) -> str:
         if self.truncation_length is not None and len(line) >= self.truncation_length:
@@ -231,10 +251,14 @@ class Canonicalizer:
     def _rewrite_list(self, ast: CommandList, depth: int, state: dict) -> None:
         for pipeline in ast.pipelines:
             for command in pipeline.commands:
-                if isinstance(command, (Subshell, BraceGroup)):
-                    self._rewrite_list(command.body, depth, state)
-                elif isinstance(command, SimpleCommand):
+                if isinstance(command, SimpleCommand):
                     self._rewrite_simple(command)
+                    if command.name is not None and _POSITIONAL_NAME_RE.match(command.name.raw):
+                        state["reparse"] = True
+                else:
+                    self._rewrite_list(command.body, depth, state)
+                    if isinstance(command, BraceGroup) and _holds_closer(command.body):
+                        state["reparse"] = True
         self._splice_evals(ast)
         if self.decode_base64 and depth < _MAX_DECODE_DEPTH:
             self._flatten_decode_exec(ast, depth, state)
@@ -344,7 +368,8 @@ class Canonicalizer:
         for prefix in _STANDARD_BIN_DIRS:
             if raw.startswith(prefix):
                 basename = raw[len(prefix) :]
-                if basename and "/" not in basename:
+                # a leading "#" would turn the rest of the line into a comment
+                if basename and "/" not in basename and basename[0] != "#":
                     cmd.name = Word(basename, cmd.name.position)
                 return
 
@@ -497,13 +522,7 @@ class Canonicalizer:
         if "\n" in text:
             lines = [part.strip() for part in text.split("\n") if part.strip()]
             text = " ; ".join(lines)
-        result = self._canonicalize_text(text, depth + 1)
-        if not result.ok:
-            return None
-        try:
-            return self._parser.parse(result.text)
-        except ShellSyntaxError:
-            return None
+        return self._canonicalize_text(text, depth + 1)[1]
 
     def _emitter_payload(self, cmd: SimpleCommand) -> str | None:
         name = cmd.command_name
@@ -589,6 +608,17 @@ def _trivially_canonical(line: str) -> bool:
             return False
         index = end
     return True
+
+
+def _holds_closer(body: CommandList) -> bool:
+    """True when a spliced ``}`` word sits directly in a brace group's
+    *body*, where a parse would read it as the group's end."""
+    return any(
+        isinstance(command, SimpleCommand)
+        and any(word.raw == "}" for word in [command.name, *command.words] if word)
+        for pipeline in body.pipelines
+        for command in pipeline.commands
+    )
 
 
 def _replace_pipeline(ast: CommandList, index: int, inner: CommandList) -> None:

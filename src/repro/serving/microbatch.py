@@ -45,6 +45,7 @@ class MicroBatcher:
         ``handler(items) -> results`` with ``len(results) == len(items)``,
         called with at most ``max_batch`` items.  May be synchronous or
         return an awaitable (e.g. an ``async def`` scoring backend).
+        ``None`` is allowed only while the batcher is not running.
     max_batch:
         Flush as soon as this many items are pending.
     max_latency_ms:
@@ -65,7 +66,7 @@ class MicroBatcher:
 
     def __init__(
         self,
-        handler: Callable[[list[Any]], Sequence[Any]],
+        handler: Callable[[list[Any]], Sequence[Any]] | None,
         max_batch: int = 32,
         max_latency_ms: float = 25.0,
         on_flush: Callable[[int, str], None] | None = None,

@@ -55,6 +55,7 @@ from repro.serving.metrics import ServingMetrics
 from repro.serving.microbatch import MicroBatcher
 from repro.serving.ring import HashRing
 from repro.serving.sessions import SessionAggregator
+from repro.shell.ast_nodes import CommandList
 
 
 class ShardRouter:
@@ -140,11 +141,12 @@ class ShardRuntime:
 
     Host telemetry repeats: most lines were seen moments ago.
     :attr:`front_memo` maps a normalized line to its canonicalize
-    outcome, so a repeat skips the canonicalizer.  It is an LRU holding
-    at most ``cache_size`` entries; its keys are normalized lines, which
-    the service normalizer has already cut to ``max_length``, so its
-    bytes stay bounded under adversarial input.  :meth:`reset_front`
-    empties it when the service rotates.
+    outcome, so a repeat skips the canonicalizer; a miss hands it the
+    AST ``service.preprocess`` parsed, so no line is parsed twice.  The
+    memo is an LRU holding at most ``cache_size`` entries; its keys are
+    normalized lines, which the service normalizer has already cut to
+    ``max_length``, so its bytes stay bounded under adversarial input.
+    :meth:`reset_front` empties it when the service rotates.
     """
 
     def __init__(
@@ -194,8 +196,12 @@ class ShardRuntime:
             context_max_gap_seconds=session.context_max_gap_seconds,
             max_hosts=session.max_hosts,
         )
+        # start() attaches the handler and stop() detaches it: a batcher
+        # holding self._score_batch would make runtime <-> batcher a
+        # reference cycle that keeps a stopped server's model alive
+        # until the cyclic GC runs
         self.batcher = MicroBatcher(
-            self._score_batch,
+            None,
             max_batch=max_batch,
             max_latency_ms=max_latency_ms,
             on_flush=self.metrics.record_batch,
@@ -208,11 +214,13 @@ class ShardRuntime:
         """Bind the score lock to the running loop and start the batcher."""
         self._score_lock = asyncio.Lock()
         self.metrics.mark_start()
+        self.batcher.handler = self._score_batch
         await self.batcher.start()
 
     async def stop(self) -> None:
-        """Drain this shard's batcher and freeze its clock."""
+        """Drain this shard's batcher, detach it, and freeze its clock."""
         await self.batcher.stop()
+        self.batcher.handler = None
         self.metrics.mark_stop()
 
     @property
@@ -253,7 +261,7 @@ class ShardRuntime:
         ctx = self._ctx
         event_id = ctx.next_event_id()
 
-        normalized = ctx.service.preprocess(line)
+        normalized = self._front(line)
         if normalized is None:
             latency = (time.perf_counter() - started) * 1000.0
             self.metrics.record_event(latency, dropped=True, cache_hit=False)
@@ -269,8 +277,6 @@ class ShardRuntime:
                 latency_ms=latency,
                 generation=ctx.generation,
             )
-        if self.canonicalizer is not None:
-            normalized = self._canonical(normalized)
 
         cached = self.cache.lookup(normalized)
         if cached is not None:
@@ -335,10 +341,32 @@ class ShardRuntime:
 
     # -- internals ---------------------------------------------------------
 
-    def _canonical(self, normalized: str) -> str:
+    def _front(self, raw: str) -> str | None:
+        """The cache key of one raw line (``None``: preprocess drops it).
+
+        ``service.preprocess`` runs for every event; a memo miss hands
+        its validity AST to the canonicalizer, so the line is parsed
+        once.
+        """
+        service = self._ctx.service
+        if self.canonicalizer is None:
+            return service.preprocess(raw)
+        front = service.preprocess(raw, with_ast=True)
+        return None if front is None else self._canonical(*front)
+
+    def _validated(self, raw: str) -> tuple[str, CommandList | None] | None:
+        """``service.preprocess(raw, with_ast=True)``, keeping the AST
+        only while the memo lacks the line — a hit drops it at once."""
+        front = self._ctx.service.preprocess(raw, with_ast=True)
+        if front is not None and front[0] in self.front_memo:
+            return front[0], None
+        return front
+
+    def _canonical(self, normalized: str, ast: CommandList | None = None) -> str:
         """Canonicalize one normalized line, accounting the outcome.
 
-        The canonicalizer runs on a memo miss only.  Never raises:
+        The canonicalizer runs on a memo miss only, rewriting *ast* (the
+        line's validity parse) when given.  Never raises:
         unparseable input falls back to the normalized text.  The
         counters count events, hit or miss — rewritten lines, decoded
         payloads, failures (``canonicalize_failures``, with truncation-
@@ -348,7 +376,7 @@ class ShardRuntime:
         entry = memo.get(normalized)
         if entry is None:
             self.metrics.front_memo_misses += 1
-            result = self.canonicalizer.canonicalize(normalized)
+            result = self.canonicalizer.canonicalize(normalized, ast)
             entry = result.text
             if result.changed or result.decoded or not result.ok:
                 entry = (entry, result)
@@ -499,11 +527,12 @@ class ShardRuntime:
         if n == 0:
             return []
         event_ids = [ctx.next_event_id() for _ in range(n)]
-        normalized = [ctx.service.preprocess(line) for line, _, _ in events]
-        if self.canonicalizer is not None:
-            normalized = [
-                line if line is None else self._canonical(line) for line in normalized
-            ]
+        if self.canonicalizer is None:
+            normalized = [ctx.service.preprocess(line) for line, _, _ in events]
+        else:
+            fronts = [self._validated(line) for line, _, _ in events]
+            normalized = [None if front is None else self._canonical(*front) for front in fronts]
+            del fronts  # the rewritten ASTs are spent
 
         # one cache sweep; misses collected for a single scoring call
         scores = [0.0] * n

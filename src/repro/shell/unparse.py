@@ -65,7 +65,9 @@ def _unparse_command(command: Command) -> str:
     if isinstance(command, BraceGroup):
         body = unparse_list(command.body).rstrip(";")
         tail = "".join(f" {_unparse_redirect(r)}" for r in command.redirects)
-        return f"{{ {body}; }}{tail}"
+        # "&" already ends the body's last command; "&;" does not parse
+        close = " }" if command.body.terminator == "&" else "; }"
+        return f"{{ {body}{close}{tail}"
     raise TypeError(f"unknown command node {type(command).__name__}")
 
 

@@ -19,7 +19,6 @@ import numpy as np
 from repro.lm.encoder_api import CommandEncoder
 from repro.nn import functional as F
 from repro.nn.layers import MLP
-from repro.nn.module import no_grad
 from repro.nn.optim import AdamW
 from repro.nn.serialization import load_module
 from repro.nn.tensor import Tensor
@@ -172,10 +171,13 @@ class ClassificationTuner(IntrusionScorer):
     def score_embeddings(self, embeddings: np.ndarray) -> np.ndarray:
         """Intrusion probability from precomputed embeddings."""
         self._check_fitted()
-        assert self.head is not None
-        self.head.eval()
-        with no_grad(self.head):
-            logits = self.head(Tensor(embeddings)).data
+        head = self.head
+        assert head is not None and head.activation == "relu"
+        # the tape's forward (Linear -> relu -> Linear) as the same numpy
+        # calls on float64, without building Tensors: bit-identical scores
+        hidden = np.asarray(embeddings, dtype=np.float64) @ head.fc1.weight.data
+        hidden = np.maximum(hidden + head.fc1.bias.data, 0.0)
+        logits = hidden @ head.fc2.weight.data + head.fc2.bias.data
         shifted = logits - logits.max(axis=1, keepdims=True)
         probabilities = np.exp(shifted)
         probabilities /= probabilities.sum(axis=1, keepdims=True)

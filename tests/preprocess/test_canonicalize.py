@@ -95,6 +95,11 @@ class TestPathStripping:
     def test_nested_under_standard_dir_kept(self):
         assert canon("/usr/bin/x86_64/cat x") == "/usr/bin/x86_64/cat x"
 
+    def test_comment_basename_kept(self):
+        # "#x ; nc ..." would read as a comment and hide the listener
+        line = "A=1 /bin/#x ; nc -lvp 4444"
+        assert canon(line) == line
+
 
 class TestFlagOrdering:
     def test_trailing_run_fully_sorted(self):

@@ -24,11 +24,12 @@ class StubService:
     def __init__(self):
         self.scored_batches: list[list[str]] = []
 
-    def preprocess(self, raw: str) -> str | None:
+    def preprocess(self, raw: str, *, with_ast: bool = False):
         line = " ".join(raw.split())
         if not line or line.endswith("'"):  # simulate an unparseable line
             return None
-        return line
+        # no AST to hand over: the canonicalizer parses the line itself
+        return (line, None) if with_ast else line
 
     def score_normalized(self, lines):
         self.scored_batches.append(list(lines))
@@ -44,8 +45,9 @@ class NormalizingService(StubService):
         super().__init__()
         self.normalizer = Normalizer(max_length=max_length)
 
-    def preprocess(self, raw: str) -> str | None:
-        return self.normalizer(raw) or None
+    def preprocess(self, raw: str, *, with_ast: bool = False):
+        line = self.normalizer(raw) or None
+        return (line, None) if with_ast and line else line
 
 
 class TwoStageStubService(StubService):

@@ -484,9 +484,9 @@ class OracleService:
     def for_scenario(cls, scenario: Scenario) -> "OracleService":
         return cls(scenario.malicious_lines, scenario.noisy_lines)
 
-    def preprocess(self, raw: str) -> str | None:
-        line = normalize(raw)
-        return line or None
+    def preprocess(self, raw: str, *, with_ast: bool = False):
+        line = normalize(raw) or None
+        return (line, None) if with_ast and line else line
 
     def score_normalized(self, lines):
         self.scored_batches.append(list(lines))

@@ -29,9 +29,9 @@ class FixedScoreService:
     def __init__(self, score):
         self.score = score
 
-    def preprocess(self, raw):
-        line = " ".join(raw.split())
-        return line or None
+    def preprocess(self, raw, *, with_ast=False):
+        line = " ".join(raw.split()) or None
+        return (line, None) if with_ast and line else line
 
     def score_normalized(self, lines):
         return np.full(len(lines), self.score)

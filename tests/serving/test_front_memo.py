@@ -61,9 +61,9 @@ class CountingCall:
         self.call = call
         self.calls = 0
 
-    def __call__(self, *args):
+    def __call__(self, *args, **kwargs):
         self.calls += 1
-        return self.call(*args)
+        return self.call(*args, **kwargs)
 
 
 @contextmanager
@@ -79,8 +79,7 @@ def counting(obj, attr):
 
 def front(runtime, raw):
     """The cache key the shard computes for *raw* (``None``: dropped)."""
-    line = runtime._ctx.service.preprocess(raw)
-    return None if line is None else runtime._canonical(line)
+    return runtime._front(raw)
 
 
 def outcome(result):

@@ -1,6 +1,8 @@
 """Tests for the DetectionServer event path (driven with a stub service)."""
 
 import asyncio
+import gc
+import weakref
 
 import pytest
 
@@ -258,3 +260,37 @@ class TestServeStream:
         server = DetectionServer(stub_service, max_latency_ms=5)
         with pytest.raises(ValueError, match="cache_size"):
             serve_stream(stub_service, ["ls"], server=server, cache_size=0)
+
+
+class TestLifecycle:
+    def test_stopped_server_is_freed_without_the_cyclic_gc(self):
+        """The last reference to a stopped server frees its model.
+
+        With the cyclic GC off, only reference counting can free the
+        service and its compiled plan — a cycle through the server would
+        keep both (and the plan's scratch) alive.
+        """
+        from repro.serving.config import CanonicalizeConfig
+        from repro.serving.demo import build_demo_service
+
+        service = build_demo_service()
+        server = DetectionServer(
+            service, max_latency_ms=1, canonicalize=CanonicalizeConfig(enabled=True)
+        )
+
+        async def scenario():
+            for _ in range(2):  # stop -> start keeps serving
+                async with server:
+                    await server.submit("nc -lvnp 4444", host="h")
+                    await server.submit_many(["ls -la /tmp", "cat${IFS}/etc/shadow"])
+
+        run(scenario())
+        assert server.metrics.events_total == 6
+        refs = [weakref.ref(service), weakref.ref(service.encoder.inference_plan)]
+        gc.collect()
+        gc.disable()
+        try:
+            del service, server
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()

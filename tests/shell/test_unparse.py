@@ -35,6 +35,11 @@ class TestUnparse:
     def test_brace_group(self):
         assert unparse("{   cat;  }") == "{ cat; }"
 
+    def test_background_brace_body_reparses(self):
+        # "&" ends the body's last command; "{ cat &; }" would not parse
+        assert unparse("{ cat  & }") == "{ cat & }"
+        assert unparse("{ a && b & } > out") == "{ a && b & } > out"
+
     def test_assignments(self):
         assert unparse("FOO=1   BAR=2   cmd") == "FOO=1 BAR=2 cmd"
 

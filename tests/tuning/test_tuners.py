@@ -79,6 +79,21 @@ class TestClassificationTuner:
         tuner.fit(lines, labels)
         assert tuner.history[-1] < tuner.history[0]
 
+    def test_head_scores_are_bit_equal_to_the_tape(self, tuning_world):
+        from repro.nn.tensor import Tensor
+
+        encoder, lines, labels = tuning_world
+        tuner = ClassificationTuner(encoder, lr=1e-2, epochs=2, pooling="mean", seed=0)
+        tuner.fit(lines, labels)
+        rng = np.random.default_rng(0)
+        for rows in (1, 2, 7, 32):
+            for dtype in (np.float64, np.float32):
+                embeddings = (3.0 * rng.standard_normal((rows, encoder.embedding_dim))).astype(dtype)
+                logits = tuner.head(Tensor(embeddings)).data
+                shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+                tape = (shifted / shifted.sum(axis=1, keepdims=True))[:, 1]
+                assert np.array_equal(tuner.score_embeddings(embeddings), tape)
+
     def test_requires_positive_labels(self, tuning_world):
         encoder, lines, _ = tuning_world
         tuner = ClassificationTuner(encoder)

@@ -15,14 +15,17 @@ dropout masks are never drawn, and the per-op overhead *is* the cost.
   fused ``(D, 3D)`` matrix, so a layer's QKV projection is a single GEMM
   over the flattened ``(B*T, D)`` activations (float64 keeps the tape's
   per-projection batched call shapes — see below);
-- **per-shape-bucket scratch buffers** — every intermediate (hidden
-  states, attention scores, FFN activations) lives in a preallocated
-  buffer keyed by the ``(batch, seq)`` shape and reused across batches,
-  so the steady-state forward allocates nothing per op;
+- **one scratch arena per thread** — every intermediate (hidden
+  states, attention scores, FFN activations) is a view into one flat,
+  grow-only array per intermediate, shared by every ``(batch, seq)``
+  shape, so the steady-state forward allocates nothing per op and the
+  scratch is bounded in bytes by the largest shape served (at most
+  twice what it needs, see :attr:`InferencePlan.scratch_nbytes`);
 - **eval-mode structure folded out at compile time** — dropout layers
   vanish entirely, layer norms run as five in-place ufuncs, and the
-  softmax → mask → scale of attention runs as one fused in-place kernel
-  per layer;
+  scale → mask → softmax of attention runs as one fused in-place kernel
+  per layer (float32 folds the scale into its query weights and keeps
+  its scores transposed, so the softmax reduces across contiguous rows);
 - **a precision knob** — ``precision="float64"`` (default) keeps every
   kernel in the tape's dtype, ``"float32"`` casts the packed weights and
   scratch once at compile time for roughly half the memory traffic.
@@ -39,8 +42,9 @@ differ from the tape's batched ``(B, T, D) @ (D, D)`` call in the last
 bit at thin shapes.  float64 therefore issues the tape's calls
 verbatim and wins on buffer reuse and folded-out graph bookkeeping
 alone; the shape-changing fusions (QKV packing, ``(B*T, D)``
-flattening) are reserved for float32, which is tolerance-mode anyway
-(property-tested in ``tests/nn/test_inference_plan.py``).
+flattening, the transposed softmax) are reserved for float32, which is
+tolerance-mode anyway (property-tested in
+``tests/nn/test_inference_plan.py``).
 
 Models the compiler does not cover (subclassed modules, bias-free
 linears, non-standard block wiring) raise
@@ -52,7 +56,6 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,9 +69,9 @@ from repro.nn.transformer import TransformerBlock, TransformerEncoder
 #: Supported compute precisions for a compiled plan.
 PRECISIONS = ("float64", "float32")
 
-#: Shape buckets kept alive at once; least recently used are dropped
-#: (each bucket's scratch is proportional to ``B * T * (D + H*T)``).
-_MAX_SCRATCH_BUCKETS = 32
+#: Shapes whose scratch views one thread caches (~3 KB of view objects
+#: each, no array data); past this the cache of views is emptied.
+_MAX_VIEW_SHAPES = 256
 
 
 class InferenceCompileError(ReproError):
@@ -112,8 +115,8 @@ class _LayerKernel:
     bitwise contract forces float64 to issue exactly the tape's calls.
     """
 
-    wqkv: np.ndarray  # (D, 3D) — fused query|key|value projection
-    bqkv: np.ndarray  # (3D,)
+    wqkv: np.ndarray  # (D, 3D) — fused query|key|value, query scaled by 1/sqrt(d_h)
+    bqkv: np.ndarray  # (3D,), query part scaled likewise
     wq: np.ndarray  # (D, D) separate projections — float64 parity path
     bq: np.ndarray
     wk: np.ndarray
@@ -143,16 +146,25 @@ class InferencePlan:
     serving hot path behind
     :meth:`repro.lm.encoder_api.CommandEncoder.compile_inference`.
 
-    Thread-safety: scratch buffers are **thread-local** — the threaded
-    scoring backend runs one ``score_batch`` per pool thread against a
-    shared service, so each thread gets its own shape buckets and
-    forwards never race (the packed weights themselves are read-only).
-    The ``calls`` counter is a plain int and therefore approximate
-    under threads; it is observability, not accounting.
+    Scratch: each thread owns one arena — a flat, grow-only array per
+    intermediate — and every ``(batch, seq)`` shape runs on views of
+    its leading elements.  A larger shape regrows the arena to at least
+    double, so it holds at most twice what the largest shape served
+    needs (:attr:`scratch_nbytes`), however many shapes come by.
 
-    Returned arrays are **views into the calling thread's scratch**,
+    Thread-safety: the arena is **thread-local** — the threaded scoring
+    backend runs one ``score_batch`` per pool thread, and sequence
+    scoring hops to executor threads, against a shared service, so
+    forwards never race (the packed weights themselves are read-only)
+    and every thread that runs a forward keeps its own arena.  The
+    ``calls`` counter is a plain int and therefore approximate under
+    threads; it is observability, not accounting.
+
+    Returned arrays are **views into the calling thread's arena**,
     valid until that thread's next ``forward``/``pooled`` call — copy
-    (or assign into a result array) immediately.
+    (or assign into a result array) immediately.  An arena that
+    regrows leaves the old array to the views that still hold it, so a
+    returned result is never overwritten by a larger shape.
     """
 
     def __init__(
@@ -253,17 +265,21 @@ class InferencePlan:
             raise InferenceCompileError(f"{where} FFN linears must carry biases")
         assert query.bias is not None and key.bias is not None
         assert value.bias is not None and output.bias is not None
+        # the float32 kernel's attention scale, folded into its query
+        # columns (the float64 path scales its scores as the tape does)
+        scale = 1.0 / math.sqrt(attention.head_dim)
         return _LayerKernel(
             # prepacked QKV: one (D, 3D) GEMM replaces three batched
             # matmuls on the float32 hot path
             wqkv=_packed(
                 np.concatenate(
-                    [query.weight.data, key.weight.data, value.weight.data], axis=1
+                    [query.weight.data * scale, key.weight.data, value.weight.data], axis=1
                 ),
                 dtype,
             ),
             bqkv=_packed(
-                np.concatenate([query.bias.data, key.bias.data, value.bias.data]), dtype
+                np.concatenate([query.bias.data * scale, key.bias.data, value.bias.data]),
+                dtype,
             ),
             wq=_packed(query.weight.data, dtype),
             bq=_packed(query.bias.data, dtype),
@@ -285,59 +301,81 @@ class InferencePlan:
             ffn_eps=float(ffn_norm.eps),
         )
 
-    # -- scratch buffers ---------------------------------------------------
+    # -- scratch arena -----------------------------------------------------
 
     def _buffers(self, batch: int, seq: int) -> dict[str, np.ndarray]:
-        """Preallocated scratch for the ``(batch, seq)`` shape bucket.
+        """Scratch views for one ``(batch, seq)`` forward.
 
-        Buckets live in thread-local storage so concurrent forwards from
-        the threaded backend never share an intermediate.
+        Each intermediate has one flat, grow-only array per thread (the
+        arena); a shape's buffers are reshaped views of its leading
+        elements, so every shape shares the same memory.  A shape that
+        needs more room regrows the short arrays to at least double their
+        size — a pass of ascending widths regrows O(log) times — and
+        drops the cached views, which hold no array data of their own.
+        An old array stays alive through any view a caller still holds.
         """
-        scratch = getattr(self._local, "scratch", None)
-        if scratch is None:
-            scratch = self._local.scratch = OrderedDict()
+        local = self._local
+        views = getattr(local, "views", None)
+        if views is None:
+            views = local.views = {}
+            local.arena = {}
         key = (batch, seq)
-        bucket = scratch.get(key)
-        if bucket is not None:
-            scratch.move_to_end(key)
-            return bucket
+        buf = views.get(key)
+        if buf is not None:
+            return buf
         d, h, dh, i = self.hidden_size, self.n_heads, self.head_dim, self.intermediate_size
         rows = batch * seq
         dt = self.dtype
-        bucket = {
-            "x": np.empty((batch, seq, d), dtype=dt),
-            "res": np.empty((batch, seq, d), dtype=dt),
-            "sq": np.empty((batch, seq, d), dtype=dt),
-            "mu": np.empty((batch, seq, 1), dtype=dt),
-            "var": np.empty((batch, seq, 1), dtype=dt),
-            "qkv": np.empty((rows, 3 * d), dtype=dt),
-            "scores": np.empty((batch, h, seq, seq), dtype=dt),
-            "stat": np.empty((batch, h, seq, 1), dtype=dt),
-            "ctx": np.empty((batch, h, seq, dh), dtype=dt),
-            "merge": np.empty((batch, seq, h, dh), dtype=dt),
-            "attn": np.empty((rows, d), dtype=dt),
-            "ffh": np.empty((rows, i), dtype=dt),
-            "gtmp": np.empty((rows, i), dtype=dt),
-            "ff2": np.empty((rows, d), dtype=dt),
-            "additive": np.empty((batch, 1, 1, seq), dtype=dt),
-            "pooled": np.empty((batch, 1, d), dtype=dt),
-            "weights": np.empty((batch, seq), dtype=np.float64),
+        shapes = {
+            "x": ((batch, seq, d), dt),
+            "res": ((batch, seq, d), dt),
+            "sq": ((batch, seq, d), dt),
+            "mu": ((batch, seq, 1), dt),
+            "var": ((batch, seq, 1), dt),
+            "scores": ((batch, h, seq, seq), dt),
+            "stat": ((batch, h, seq, 1), dt),
+            "ctx": ((batch, h, seq, dh), dt),
+            "merge": ((batch, seq, h, dh), dt),
+            "attn": ((rows, d), dt),
+            "ffh": ((rows, i), dt),
+            "gtmp": ((rows, i), dt),
+            "ff2": ((rows, d), dt),
+            "additive": ((batch, 1, 1, seq), dt),
+            "pooled": ((batch, 1, d), dt),
+            "weights": ((batch, seq), np.float64),
         }
         if dt is np.float64:
             # parity path: one (B, T, D) output per projection, written
-            # by the tape's exact batched-matmul call shapes (the fused
-            # "qkv" buffer above goes unused in this mode)
+            # by the tape's exact batched-matmul call shapes
             for name in ("q3", "k3", "v3"):
-                bucket[name] = np.empty((batch, seq, d), dtype=dt)
-        scratch[key] = bucket
-        while len(scratch) > _MAX_SCRATCH_BUCKETS:
-            scratch.popitem(last=False)
-        return bucket
+                shapes[name] = ((batch, seq, d), dt)
+        else:
+            # the fused (B*T, D) @ (D, 3D) projection; the transposed
+            # softmax keeps its scores as (B, H, keys, queries), its
+            # statistics per query and its mask per key
+            shapes["qkv"] = ((rows, 3 * d), dt)
+            shapes["stat"] = ((batch, h, 1, seq), dt)
+            shapes["additive"] = ((batch, 1, seq, 1), dt)
+        arena = local.arena
+        for name, (shape, dtype) in shapes.items():
+            flat = arena.get(name)
+            need = math.prod(shape)
+            if flat is None or flat.size < need:
+                grown = max(need, 2 * flat.size) if flat is not None else need
+                arena[name] = np.empty(grown, dtype=dtype)
+                views.clear()
+        if len(views) >= _MAX_VIEW_SHAPES:
+            views.clear()
+        buf = views[key] = {
+            name: arena[name][: math.prod(shape)].reshape(shape)
+            for name, (shape, _) in shapes.items()
+        }
+        return buf
 
     @property
-    def scratch_buckets(self) -> int:
-        """Live ``(batch, seq)`` shape buckets on this thread."""
-        return len(getattr(self._local, "scratch", ()))
+    def scratch_nbytes(self) -> int:
+        """Bytes the calling thread's scratch arena holds."""
+        return sum(flat.nbytes for flat in getattr(self._local, "arena", {}).values())
 
     # -- kernels -----------------------------------------------------------
 
@@ -370,12 +408,15 @@ class InferencePlan:
         """Fused self-attention: QKV projection, one in-place masked
         softmax kernel, one context GEMM, one output GEMM.
 
-        The projection differs by precision.  float64 issues the tape's
-        exact batched ``(B, T, D) @ (D, D)`` matmuls — BLAS selects its
+        The kernels differ by precision.  float64 issues the tape's
+        exact batched ``(B, T, D) @ (D, D)`` matmuls and its
+        ``(B, H, queries, keys)`` softmax — BLAS selects its
         micro-kernel (and therefore its summation grouping) from the
         call shape, so a fused or flattened GEMM can differ in the last
         bit at thin shapes.  float32 takes the fused ``(B*T, D) @ (D,
-        3D)`` single-GEMM form.
+        3D)`` single-GEMM form and computes its scores transposed,
+        ``(B, H, keys, queries)``, with the mask per key and the softmax
+        over axis -2.
         """
         d, h, dh = self.hidden_size, self.n_heads, self.head_dim
         if self.dtype is np.float64:
@@ -401,19 +442,33 @@ class InferencePlan:
             q = qkv4[:, :, :d].reshape(batch, seq, h, dh).transpose(0, 2, 1, 3)
             k = qkv4[:, :, d : 2 * d].reshape(batch, seq, h, dh).transpose(0, 2, 1, 3)
             v = qkv4[:, :, 2 * d :].reshape(batch, seq, h, dh).transpose(0, 2, 1, 3)
-        scores, stat = buf["scores"], buf["stat"]
-        np.matmul(q, k.transpose(0, 1, 3, 2), out=scores)
-        np.multiply(scores, self.scale, out=scores)
-        if additive is not None:
-            np.add(scores, additive, out=scores)
-        # in-place numerically-stable softmax (the tape's F.softmax)
-        np.max(scores, axis=-1, keepdims=True, out=stat)
-        np.subtract(scores, stat, out=scores)
-        np.exp(scores, out=scores)
-        np.sum(scores, axis=-1, keepdims=True, out=stat)
-        np.divide(scores, stat, out=scores)
-        ctx, merge = buf["ctx"], buf["merge"]
-        np.matmul(scores, v, out=ctx)
+        scores, stat, ctx, merge = buf["scores"], buf["stat"], buf["ctx"], buf["merge"]
+        if self.dtype is np.float64:
+            np.matmul(q, k.transpose(0, 1, 3, 2), out=scores)
+            np.multiply(scores, self.scale, out=scores)
+            if additive is not None:
+                np.add(scores, additive, out=scores)
+            # in-place numerically-stable softmax (the tape's F.softmax)
+            np.max(scores, axis=-1, keepdims=True, out=stat)
+            np.subtract(scores, stat, out=scores)
+            np.exp(scores, out=scores)
+            np.sum(scores, axis=-1, keepdims=True, out=stat)
+            np.divide(scores, stat, out=scores)
+            np.matmul(scores, v, out=ctx)
+        else:
+            # transposed scores K·Qᵀ, keys on axis -2 (Q carries the
+            # 1/sqrt(d_h) scale since compile): the softmax reductions
+            # then run across contiguous rows, several times faster than
+            # along a short last axis
+            np.matmul(k, q.transpose(0, 1, 3, 2), out=scores)
+            if additive is not None:
+                np.add(scores, additive, out=scores)
+            np.max(scores, axis=-2, keepdims=True, out=stat)
+            np.subtract(scores, stat, out=scores)
+            np.exp(scores, out=scores)
+            np.sum(scores, axis=-2, keepdims=True, out=stat)
+            np.divide(scores, stat, out=scores)
+            np.matmul(scores.transpose(0, 1, 3, 2), v, out=ctx)
         np.copyto(merge, ctx.transpose(0, 2, 1, 3))
         attn = buf["attn"]
         if self.dtype is np.float64:
@@ -451,7 +506,7 @@ class InferencePlan:
         if attention_mask is not None:
             mask = np.asarray(attention_mask, dtype=bool)
             additive = buf["additive"]
-            np.copyto(additive, np.where(mask, 0.0, NEG_INF)[:, None, None, :])
+            np.copyto(additive, np.where(mask, 0.0, NEG_INF).reshape(additive.shape))
         res = buf["res"]
         for layer in self.layers:
             attended = self._attention(layer, buf, batch, seq, additive)

@@ -272,7 +272,8 @@ class Canonicalizer:
     def _dequote_command(self, cmd: SimpleCommand) -> None:
         if cmd.name is not None:
             segments = self._rewrite_word(cmd.name)
-            if segments:
+            # a quoted "A=b" names a command; bare, it reads as an assignment
+            if segments and not _ASSIGNMENT_WORD_RE.match(segments[0].raw):
                 cmd.name = segments[0]
                 if len(segments) > 1:
                     cmd.words[:0] = segments[1:]
@@ -355,7 +356,12 @@ class Canonicalizer:
                 cmd.name = cmd.words[index]
                 cmd.words = cmd.words[index + 1 :]
                 continue
-            if name == "command" and cmd.words and not cmd.words[0].is_flag:
+            if (
+                name == "command"
+                and cmd.words
+                and not cmd.words[0].is_flag
+                and not _ASSIGNMENT_WORD_RE.match(cmd.words[0].raw)
+            ):
                 cmd.name = cmd.words[0]
                 cmd.words = cmd.words[1:]
                 continue
@@ -368,8 +374,14 @@ class Canonicalizer:
         for prefix in _STANDARD_BIN_DIRS:
             if raw.startswith(prefix):
                 basename = raw[len(prefix) :]
-                # a leading "#" would turn the rest of the line into a comment
-                if basename and "/" not in basename and basename[0] != "#":
+                # a leading "#" would turn the rest of the line into a
+                # comment, and a bare NAME=value would read as an assignment
+                if (
+                    basename
+                    and "/" not in basename
+                    and basename[0] != "#"
+                    and not _ASSIGNMENT_WORD_RE.match(basename)
+                ):
                     cmd.name = Word(basename, cmd.name.position)
                 return
 
@@ -449,8 +461,17 @@ class Canonicalizer:
                 inner = self._eval_payload(command)
                 if inner is None:
                     continue
+                background = inner.terminator == "&"
+                if background and not (
+                    len(pipeline.commands) == 1 and _can_background(ast, pl_index, inner)
+                ):
+                    continue
                 if len(inner.pipelines) == 1 and not inner.pipelines[0].negated:
-                    self._splice_into_pipeline(pipeline, cmd_index, inner.pipelines[0], command)
+                    spliced = self._splice_into_pipeline(
+                        pipeline, cmd_index, inner.pipelines[0], command
+                    )
+                    if spliced and background:
+                        _background(ast, pl_index)
                     break
                 if (
                     len(pipeline.commands) == 1
@@ -458,6 +479,8 @@ class Canonicalizer:
                     and not command.redirects
                 ):
                     _replace_pipeline(ast, pl_index, inner)
+                    if background:
+                        _background(ast, pl_index + len(inner.pipelines) - 1)
                     spliced_list = True
                     break
             if not spliced_list:
@@ -466,11 +489,13 @@ class Canonicalizer:
     @staticmethod
     def _splice_into_pipeline(
         pipeline: Pipeline, index: int, inner: Pipeline, replaced: SimpleCommand
-    ) -> None:
+    ) -> bool:
+        """Put *inner*'s commands in place of ``pipeline.commands[index]``;
+        False when *replaced*'s redirects cannot move onto them."""
         commands = list(inner.commands)
         if replaced.redirects:
             if len(commands) != 1 or not isinstance(commands[0], SimpleCommand):
-                return
+                return False
             commands[0].redirects.extend(replaced.redirects)
         n = len(pipeline.commands)
         stderr = list(pipeline.pipe_stderr) + [False] * (n - 1 - len(pipeline.pipe_stderr))
@@ -479,6 +504,7 @@ class Canonicalizer:
         )
         pipeline.commands[index : index + 1] = commands
         pipeline.pipe_stderr = stderr[:index] + inner_stderr + stderr[index:]
+        return True
 
     # ------------------------------------------------------------------
     # decode-exec flattening
@@ -619,6 +645,27 @@ def _holds_closer(body: CommandList) -> bool:
         for pipeline in body.pipelines
         for command in pipeline.commands
     )
+
+
+def _can_background(ast: CommandList, index: int, inner: CommandList) -> bool:
+    """True when *inner*'s trailing ``&`` can end ``ast.pipelines[index]``
+    in place of the ``eval`` and still background exactly what it did:
+    ``a & && b`` does not parse, and after a ``&&``/``||`` the ``&``
+    would take the outer and-or list with it."""
+    following = ast.operators[index] if index < len(ast.operators) else None
+    if following in ("&&", "||"):
+        return False
+    preceding = ast.operators[index - 1] if index > 0 else None
+    return preceding not in ("&&", "||") or any(op in (";", "&") for op in inner.operators)
+
+
+def _background(ast: CommandList, index: int) -> None:
+    """End ``ast.pipelines[index]`` with ``&`` (its operator or the
+    list's terminator)."""
+    if index < len(ast.operators):
+        ast.operators[index] = "&"
+    else:
+        ast.terminator = "&"
 
 
 def _replace_pipeline(ast: CommandList, index: int, inner: CommandList) -> None:

@@ -32,8 +32,10 @@ def _warm_service(service: object) -> None:
     """One tiny forward through each scoring surface *service* exposes.
 
     Pays the lazy one-time costs — columnar tokenizer construction,
-    inference-plan scratch allocation, BLAS initialization — so the
-    first real batch doesn't carry them as a latency outlier.  Only
+    BLAS initialization, and the calling thread's first inference-plan
+    arena — so the first real batch doesn't carry them as a latency
+    outlier.  The arena is per thread: warming on an executor thread
+    leaves the loop thread's arena to grow on its first batch.  Only
     services holding a compiled plan are warmed: with ``compiled=false``
     the serving pipeline must stay byte-identical to the plain path, so
     no extra forward may run.
@@ -108,8 +110,9 @@ class ScoringBackend(ABC):
         """Run a best-effort warm-up forward through the scoring path.
 
         Called by the server on start and after ``swap_model``, so the
-        first real batch never pays one-time costs (scratch allocation,
-        lazy tokenizer construction) as a latency outlier.  Never
+        first real batch never pays the lazy tokenizer construction as a
+        latency outlier (the plan's arena is per thread; this one-line
+        forward sizes only the executor thread's).  Never
         raises — a failed warm-up must not take the server down.
         """
         try:

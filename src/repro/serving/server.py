@@ -437,7 +437,7 @@ class DetectionServer:
         self._control_metrics.mark_start()
         self.sinks.start()
         await self._ctx.backend.start()
-        # pay one-time scoring costs (plan scratch, lazy tokenizers)
+        # pay one-time scoring costs (lazy tokenizers, BLAS start-up)
         # before the first real batch can observe them
         await self._ctx.backend.warm_up()
         for runtime in self.shards:
@@ -585,8 +585,8 @@ class DetectionServer:
                 drain_ms = (time.perf_counter() - drain_started) * 1000.0
                 await self._ctx.backend.swap(service)
                 # warm the new generation while scoring is still quiesced:
-                # the first post-swap batch must not pay plan-scratch
-                # allocation (no p99 spike across a swap)
+                # the first post-swap batch must not pay the new
+                # tokenizer's construction (no p99 spike across a swap)
                 await self._ctx.backend.warm_up()
                 self._ctx.service = service
                 self._ctx.generation += 1

@@ -9,6 +9,8 @@ explicitly-tolerance-mode precision and is tested against an error
 bound instead.
 """
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,11 +20,7 @@ from repro.lm.config import LMConfig
 from repro.lm.model import CommandLineLM
 from repro.lm.pooling import pool
 from repro.nn import Dropout, Tensor
-from repro.nn.inference import (
-    _MAX_SCRATCH_BUCKETS,
-    InferenceCompileError,
-    InferencePlan,
-)
+from repro.nn.inference import InferenceCompileError, InferencePlan
 from repro.nn.layers import Linear
 from repro.nn.module import no_grad
 from repro.nn.tensor import Tensor as _Tensor
@@ -101,13 +99,15 @@ class TestFloat64Bitwise:
         model = build_model()
         plan = InferencePlan.compile(model)
         rng = np.random.default_rng(7)
+        sizes = []
         for _ in range(3):
             ids, mask = random_batch(model, 3, 9, rng)
             got = plan.forward(ids, mask).copy()
+            sizes.append(plan.scratch_nbytes)
             with no_grad(model):
                 want = model(ids, mask).data
             assert np.array_equal(got, want)
-        assert plan.scratch_buckets == 1  # one (3, 9) bucket, reused
+        assert sizes[0] > 0 and sizes == [sizes[0]] * 3  # one arena, reused
         assert plan.calls == 3
 
 
@@ -172,17 +172,68 @@ class TestCompileSurface:
         with pytest.raises(IndexError, match="out of range"):
             plan.forward(np.full((1, 4), 10_000, dtype=np.int64))
 
-    def test_scratch_buckets_are_lru_bounded(self):
-        model = build_model(max_position=64)
-        plan = InferencePlan.compile(model)
-        for seq in range(1, _MAX_SCRATCH_BUCKETS + 10):
-            plan.forward(np.zeros((1, seq), dtype=np.int64))
-        assert plan.scratch_buckets == _MAX_SCRATCH_BUCKETS
-
     def test_describe_names_precision_and_geometry(self):
         plan = InferencePlan.compile(build_model(), precision="float32")
         assert "float32" in plan.describe()
         assert "2x16d" in plan.describe()
+
+
+class TestScratchArena:
+    """One grow-only arena per thread, bounded in bytes by the largest shape."""
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_arena_is_bounded_by_twice_the_largest_shape(self, precision):
+        model = build_model(max_position=12)
+        largest = InferencePlan.compile(model, precision)
+        largest.pooled(np.zeros((8, 12), dtype=np.int64), np.ones((8, 12), dtype=bool))
+        need = largest.scratch_nbytes
+        plan = InferencePlan.compile(model, precision)
+        assert plan.scratch_nbytes == 0
+        shapes = [(b, t) for b in range(1, 9) for t in range(1, 13)]
+        np.random.default_rng(0).shuffle(shapes)
+        for b, t in shapes:
+            plan.pooled(np.zeros((b, t), dtype=np.int64), np.ones((b, t), dtype=bool))
+        grown = plan.scratch_nbytes
+        assert need <= grown <= 2 * need
+        for b, t in shapes:
+            plan.pooled(np.zeros((b, t), dtype=np.int64), np.ones((b, t), dtype=bool))
+        assert plan.scratch_nbytes == grown
+
+    def test_float64_stays_bitwise_across_regrows(self):
+        model = build_model(max_position=16)
+        plan = InferencePlan.compile(model)
+        rng = np.random.default_rng(3)
+        held = []
+        for batch, seq in [(1, 2), (2, 3), (4, 16), (1, 5), (3, 9), (4, 16), (1, 1)]:
+            ids, mask = random_batch(model, batch, seq, rng)
+            got = plan.forward(ids, mask)
+            with no_grad(model):
+                want = model(ids, mask).data
+            assert np.array_equal(got, want)
+            held.append((got, want))
+        # a view taken before a regrow still reads its own result
+        first, want = held[0]
+        assert np.array_equal(first, want)
+
+    def test_worker_thread_leaves_the_callers_view_alone(self):
+        model = build_model(max_position=16)
+        plan = InferencePlan.compile(model)
+        rng = np.random.default_rng(5)
+        ids, mask = random_batch(model, 2, 6, rng)
+        mine = plan.forward(ids, mask)
+        before = mine.copy()
+        sizes = []
+
+        def worker():
+            other_ids, other_mask = random_batch(model, 4, 16, np.random.default_rng(6))
+            plan.forward(other_ids, other_mask)
+            sizes.append(plan.scratch_nbytes)
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join()
+        assert np.array_equal(mine, before)
+        assert sizes[0] > plan.scratch_nbytes  # each thread has its own arena
 
 
 class TestEvalFastPath:

@@ -37,6 +37,11 @@ class TestDequote:
     def test_escaped_space_dequoted(self):
         assert canon("cat /tmp/a\\ b") == "cat '/tmp/a b'"
 
+    def test_assignment_shaped_name_keeps_quotes(self):
+        # bash runs a command named "A=b"; dequoted it would be an assignment
+        assert canon('"A=b" /bin/ls') == '"A=b" /bin/ls'
+        assert canon("A'=b' x") == "A'=b' x"
+
 
 class TestIfsSplitting:
     def test_braced_ifs_becomes_space(self):
@@ -81,6 +86,48 @@ class TestWrappers:
     def test_stacked_wrappers(self):
         assert canon("env command cat x") == "cat x"
 
+    def test_command_kept_before_assignment_shaped_name(self):
+        # bash runs a command named "A=b" here; bare, it reads as an assignment
+        assert canon("command A=b ls -la") == "command A=b ls -la"
+        assert canon('command "A=b" ls') == "command A=b ls"
+
+
+class TestEvalBackground:
+    """An eval'd trailing ``&`` survives the splice, or the eval stays."""
+
+    def test_background_payload_keeps_its_ampersand(self):
+        assert canon('eval "nc -lvp 4444 &"') == "nc -lvp 4444 &"
+
+    def test_background_list_payload(self):
+        assert canon('x; eval "a; b &"') == "x ; a ; b &"
+
+    def test_ampersand_replaces_following_semicolon(self):
+        assert canon('eval "a &"; b') == "a & b"
+        assert canon('eval "a &";') == "a &"
+
+    def test_ampersand_merges_with_following_ampersand(self):
+        assert canon('eval "a &" & b') == "a & b"
+
+    def test_background_and_or_payload(self):
+        assert canon('eval "a && b &"') == "a && b &"
+
+    def test_redirect_moves_onto_backgrounded_payload(self):
+        assert canon('eval "a &" > out') == "a > out &"
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            'eval "a &" && b',
+            'eval "a &" || b',
+            'x && eval "a &"',
+            'eval "a &" | cat',
+            'cat x | eval "a &"',
+        ],
+    )
+    def test_inexpressible_background_stays_unspliced(self, line):
+        assert canon(line).startswith(("eval ", "x && eval ", "cat x | eval "))
+        assert canon(canon(line)) == canon(line)
+
 
 class TestPathStripping:
     def test_usr_bin_stripped(self):
@@ -94,6 +141,9 @@ class TestPathStripping:
 
     def test_nested_under_standard_dir_kept(self):
         assert canon("/usr/bin/x86_64/cat x") == "/usr/bin/x86_64/cat x"
+
+    def test_assignment_shaped_basename_kept(self):
+        assert canon("/bin/A=b x") == "/bin/A=b x"
 
     def test_comment_basename_kept(self):
         # "#x ; nc ..." would read as a comment and hide the listener

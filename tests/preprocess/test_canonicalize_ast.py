@@ -113,6 +113,9 @@ def test_seeded_streams(seed, attack_session_rate):
 @example('{ eval "echo }" ; }')
 @example("{ eval /bin/ls & }")
 @example("A=1 /bin/#x ; nc -lvp 4444")
+# an eval'd trailing "&" carried into the outer list
+@example('x; eval "a; b &"')
+@example('eval "nc -lvp 4444 &" ; y')
 def test_arbitrary_lines(line):
     assert_same_outcome(line)
 

@@ -513,12 +513,15 @@ class Canonicalizer:
         pl_index = 0
         while pl_index < len(ast.pipelines):
             inner = self._decode_pipeline(ast.pipelines[pl_index], depth)
-            if inner is None:
+            background = inner is not None and inner.terminator == "&"
+            if inner is None or (background and not _can_background(ast, pl_index, inner)):
                 pl_index += 1
                 continue
             state["decoded"] = True
             _replace_pipeline(ast, pl_index, inner)
             pl_index += len(inner.pipelines)
+            if background:
+                _background(ast, pl_index - 1)
 
     def _decode_pipeline(self, pipeline: Pipeline, depth: int) -> CommandList | None:
         if pipeline.negated or len(pipeline.commands) < 3:

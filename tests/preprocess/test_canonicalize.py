@@ -1,5 +1,7 @@
 """Unit and property tests for the AST-backed canonicalization stage."""
 
+import base64
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -210,6 +212,43 @@ class TestDecodeExec:
         hidden = Canonicalizer().canonicalize(f"echo {self.B64} | base64 -d | sh")
         assert hidden.text == plain.text
         assert not plain.decoded and hidden.decoded
+
+
+def _decode_exec(payload: str) -> str:
+    return f"echo {base64.b64encode(payload.encode()).decode()} | base64 -d | sh"
+
+
+class TestDecodeExecBackground:
+    """A decoded payload's trailing ``&`` survives the flattening, or the
+    pipeline stays, as with ``eval``."""
+
+    def test_background_payload_keeps_its_ampersand(self):
+        assert canon("echo bmMgLWx2cCA0NDQ0ICY= | base64 -d | sh") == "nc -lvp 4444 &"
+
+    def test_ampersand_replaces_following_semicolon(self):
+        assert canon(_decode_exec("nc -lvp 4444 &") + " ; x") == "nc -lvp 4444 & x"
+
+    def test_ampersand_merges_with_following_ampersand(self):
+        assert canon(_decode_exec("a &") + " & b") == "a & b"
+
+    def test_background_list_payload(self):
+        assert canon("x ; " + _decode_exec("a ; b &")) == "x ; a ; b &"
+
+    def test_background_and_or_payload(self):
+        assert canon(_decode_exec("a && b &")) == "a && b &"
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            _decode_exec("a &") + " && b",
+            _decode_exec("a &") + " || b",
+            "x && " + _decode_exec("a &"),
+        ],
+    )
+    def test_inexpressible_background_stays_unflattened(self, line):
+        result = Canonicalizer().canonicalize(line)
+        assert "base64 -d" in result.text and not result.decoded
+        assert canon(result.text) == result.text
 
 
 class TestFallback:

@@ -23,6 +23,9 @@ from repro.nn.module import no_grad
 #: mask token at encode time.
 MASK_PLACEHOLDER = "[MASK]"
 
+#: Lines per MLM batch in :func:`pseudo_perplexity`.
+PERPLEXITY_BATCH = 32
+
 
 @dataclass(frozen=True)
 class MaskPrediction:
@@ -131,8 +134,8 @@ def pseudo_perplexity(encoder: CommandEncoder, lines: Sequence[str], seed: int =
     total_loss = 0.0
     total_predictions = 0
     with no_grad(encoder.model):
-        for start in range(0, len(lines), encoder.batch_size):
-            chunk = list(lines[start : start + encoder.batch_size])
+        for start in range(0, len(lines), PERPLEXITY_BATCH):
+            chunk = list(lines[start : start + PERPLEXITY_BATCH])
             if not chunk:
                 continue
             batch = collator.collate(chunk)

@@ -22,13 +22,37 @@ dropout masks are never drawn, and the per-op overhead *is* the cost.
   scratch is bounded in bytes by the largest shape served (at most
   twice what it needs, see :attr:`InferencePlan.scratch_nbytes`);
 - **eval-mode structure folded out at compile time** — dropout layers
-  vanish entirely, layer norms run as five in-place ufuncs, and the
-  scale → mask → softmax of attention runs as one fused in-place kernel
-  per layer (float32 folds the scale into its query weights and keeps
-  its scores transposed, so the softmax reduces across contiguous rows);
+  vanish entirely, layer norms run as in-place ufuncs, and the scale →
+  mask → softmax of attention runs as one fused in-place kernel per
+  layer;
 - **a precision knob** — ``precision="float64"`` (default) keeps every
   kernel in the tape's dtype, ``"float32"`` casts the packed weights and
   scratch once at compile time for roughly half the memory traffic.
+
+The float32 kernel is cheaper per token than a dtype swap alone:
+
+- the attention scale is folded into the query weights, and GELU's 0.5
+  into the FFN output weights; GELU runs as seven passes without ``pow``;
+- attention scores are stored keys-outermost, ``(keys, B, H,
+  queries)``, so the softmax's max and sum reduce over axis 0 of a
+  contiguous 2-D view, and the context GEMM writes straight into the
+  head-merge layout (see :meth:`InferencePlan._attention`);
+- a chunk whose rows are all full length skips the additive mask;
+- layer-norm row sums come from ``np.einsum``, and mean pooling is a
+  weighted sum in position order.
+
+float32 keeps one guarantee of its own: **row invariance**.  A row's
+pooled output is bitwise the same alone, inside any chunk the encoder
+cuts (:func:`repro.lm.encoder_api.forward_chunks`), or padded to a wider
+width, because every reduction runs in an order fixed by the model's
+shape and a padded position adds exact zeros.  Served and offline
+scores of one line are compared bitwise on that basis.  Row sums
+therefore avoid BLAS: ``x @ ones`` is faster, but its summation order
+follows the call's row count, and it moved pooled rows by up to ~4e-7
+between chunkings.  The GEMMs keep each row's order for the shapes the
+encoder issues — at least two token rows (a one-row product becomes a
+gemv) and at most :data:`~repro.lm.encoder_api.CHUNK_CELLS` cells
+(far larger calls may switch BLAS kernels).
 
 The float64 contract is strict: :meth:`InferencePlan.forward` is
 **bitwise-identical** to ``CommandLineLM.forward(...).data`` under
@@ -42,9 +66,9 @@ differ from the tape's batched ``(B, T, D) @ (D, D)`` call in the last
 bit at thin shapes.  float64 therefore issues the tape's calls
 verbatim and wins on buffer reuse and folded-out graph bookkeeping
 alone; the shape-changing fusions (QKV packing, ``(B*T, D)``
-flattening, the transposed softmax) are reserved for float32, which is
-tolerance-mode anyway (property-tested in
-``tests/nn/test_inference_plan.py``).
+flattening, the keys-outer softmax) are reserved for float32, which is
+tolerance-mode against the tape anyway (both contracts are
+property-tested in ``tests/nn/test_inference_plan.py``).
 
 Models the compiler does not cover (subclassed modules, bias-free
 linears, non-standard block wiring) raise
@@ -72,6 +96,9 @@ PRECISIONS = ("float64", "float32")
 #: Shapes whose scratch views one thread caches (~3 KB of view objects
 #: each, no array data); past this the cache of views is emptied.
 _MAX_VIEW_SHAPES = 256
+
+#: The float32 GELU's folded constant ``sqrt(2/pi) * 0.044715``.
+_GELU_CA = F._SQRT_2_OVER_PI * 0.044715
 
 
 class InferenceCompileError(ReproError):
@@ -130,7 +157,7 @@ class _LayerKernel:
     attn_eps: float
     w_in: np.ndarray  # (D, I)
     b_in: np.ndarray  # (I,)
-    w_out: np.ndarray  # (I, D)
+    w_out: np.ndarray  # (I, D); float32 scales it by GELU's 0.5
     b_out: np.ndarray  # (D,)
     ffn_gamma: np.ndarray
     ffn_beta: np.ndarray
@@ -294,7 +321,10 @@ class InferencePlan:
             attn_eps=float(attn_norm.eps),
             w_in=_packed(ffn_in.weight.data, dtype),
             b_in=_packed(ffn_in.bias.data, dtype),
-            w_out=_packed(ffn_out.weight.data, dtype),
+            # float32 folds GELU's 0.5 into w_out (exact: a power of two)
+            w_out=_packed(
+                ffn_out.weight.data * (0.5 if dtype is np.float32 else 1.0), dtype
+            ),
             b_out=_packed(ffn_out.bias.data, dtype),
             ffn_gamma=_packed(ffn_norm.gamma.data, dtype),
             ffn_beta=_packed(ffn_norm.beta.data, dtype),
@@ -329,33 +359,35 @@ class InferencePlan:
         shapes = {
             "x": ((batch, seq, d), dt),
             "res": ((batch, seq, d), dt),
-            "sq": ((batch, seq, d), dt),
             "mu": ((batch, seq, 1), dt),
             "var": ((batch, seq, 1), dt),
-            "scores": ((batch, h, seq, seq), dt),
-            "stat": ((batch, h, seq, 1), dt),
-            "ctx": ((batch, h, seq, dh), dt),
             "merge": ((batch, seq, h, dh), dt),
             "attn": ((rows, d), dt),
             "ffh": ((rows, i), dt),
             "gtmp": ((rows, i), dt),
             "ff2": ((rows, d), dt),
-            "additive": ((batch, 1, 1, seq), dt),
             "pooled": ((batch, 1, d), dt),
             "weights": ((batch, seq), np.float64),
         }
         if dt is np.float64:
             # parity path: one (B, T, D) output per projection, written
-            # by the tape's exact batched-matmul call shapes
-            for name in ("q3", "k3", "v3"):
+            # by the tape's exact batched-matmul call shapes, and the
+            # tape's (B, H, queries, keys) softmax
+            for name in ("q3", "k3", "v3", "sq"):
                 shapes[name] = ((batch, seq, d), dt)
+            shapes["scores"] = ((batch, h, seq, seq), dt)
+            shapes["stat"] = ((batch, h, seq, 1), dt)
+            shapes["ctx"] = ((batch, h, seq, dh), dt)
+            shapes["additive"] = ((batch, 1, 1, seq), dt)
         else:
-            # the fused (B*T, D) @ (D, 3D) projection; the transposed
-            # softmax keeps its scores as (B, H, keys, queries), its
-            # statistics per query and its mask per key
+            # the fused (B*T, D) @ (D, 3D) projection; the keys-outer
+            # softmax keeps its scores as (keys, B, H, queries), one
+            # statistic per (batch, head, query) and its mask per key
             shapes["qkv"] = ((rows, 3 * d), dt)
-            shapes["stat"] = ((batch, h, 1, seq), dt)
-            shapes["additive"] = ((batch, 1, seq, 1), dt)
+            shapes["scores"] = ((seq, batch, h, seq), dt)
+            shapes["stat"] = ((batch * h * seq,), dt)
+            shapes["additive"] = ((seq, batch, 1, 1), dt)
+            shapes["weights"] = ((batch, seq, 1), dt)
         arena = local.arena
         for name, (shape, dtype) in shapes.items():
             flat = arena.get(name)
@@ -388,14 +420,28 @@ class InferencePlan:
         the two ufuncs ``np.mean`` issues — a sum, then an unsafe-cast
         divide by an ``intp`` count — without its Python overhead.
         *src* is clobbered; *out* may alias *src*.
+
+        float32 takes its two row sums from ``np.einsum`` instead — the
+        sum of squares without a squared copy, and less per-call work
+        than ``add.reduce`` over a short last axis.  Both sum each row
+        in an order fixed by ``D`` alone, so a row normalizes to the
+        same bits in any chunk.  A BLAS ``x @ ones`` row sum is faster
+        still but not row-invariant (see the module docstring).
         """
-        mu, var, sq = buf["mu"], buf["var"], buf["sq"]
+        mu, var = buf["mu"], buf["var"]
         count = np.intp(src.shape[-1])
-        np.add.reduce(src, axis=-1, keepdims=True, out=mu)
-        np.true_divide(mu, count, out=mu, casting="unsafe")
-        np.subtract(src, mu, out=src)
-        np.power(src, 2, out=sq)
-        np.add.reduce(sq, axis=-1, keepdims=True, out=var)
+        if self.dtype is np.float32:
+            np.einsum("...d->...", src, out=mu[..., 0])
+            np.true_divide(mu, count, out=mu, casting="unsafe")
+            np.subtract(src, mu, out=src)
+            np.einsum("...d,...d->...", src, src, out=var[..., 0])
+        else:
+            sq = buf["sq"]
+            np.add.reduce(src, axis=-1, keepdims=True, out=mu)
+            np.true_divide(mu, count, out=mu, casting="unsafe")
+            np.subtract(src, mu, out=src)
+            np.power(src, 2, out=sq)
+            np.add.reduce(sq, axis=-1, keepdims=True, out=var)
         np.true_divide(var, count, out=var, casting="unsafe")
         np.add(var, eps, out=var)
         np.sqrt(var, out=var)
@@ -413,12 +459,21 @@ class InferencePlan:
         ``(B, H, queries, keys)`` softmax — BLAS selects its
         micro-kernel (and therefore its summation grouping) from the
         call shape, so a fused or flattened GEMM can differ in the last
-        bit at thin shapes.  float32 takes the fused ``(B*T, D) @ (D,
-        3D)`` single-GEMM form and computes its scores transposed,
-        ``(B, H, keys, queries)``, with the mask per key and the softmax
-        over axis -2.
+        bit at thin shapes.
+
+        float32 takes the fused ``(B*T, D) @ (D, 3D)`` single-GEMM form
+        and stores its scores keys-outermost, ``(keys, B, H, queries)``:
+        the score GEMM writes there through a transposed ``out=`` view,
+        so the softmax's max and sum reduce over axis 0 of a contiguous
+        2-D view — one vector pass per key, instead of a reduction
+        along a short strided axis.  The context GEMM reads the scores
+        transposed and writes straight into the head-merge layout
+        ``(B, T, H, dh)``, so no copy merges the heads.  Each sum over
+        keys runs in key order, and a padded key adds an exact zero, so
+        a row's result does not depend on its chunk.
         """
         d, h, dh = self.hidden_size, self.n_heads, self.head_dim
+        merge = buf["merge"]
         if self.dtype is np.float64:
             x3 = buf["x"]
             q3, k3, v3 = buf["q3"], buf["k3"], buf["v3"]
@@ -431,19 +486,7 @@ class InferencePlan:
             q = q3.reshape(batch, seq, h, dh).transpose(0, 2, 1, 3)
             k = k3.reshape(batch, seq, h, dh).transpose(0, 2, 1, 3)
             v = v3.reshape(batch, seq, h, dh).transpose(0, 2, 1, 3)
-        else:
-            x2 = buf["x"].reshape(batch * seq, d)
-            qkv = buf["qkv"]
-            np.matmul(x2, layer.wqkv, out=qkv)
-            np.add(qkv, layer.bqkv, out=qkv)
-            # head split: strided views into the fused projection — the
-            # last axis of each D-column block is contiguous, no copies
-            qkv4 = qkv.reshape(batch, seq, 3 * d)
-            q = qkv4[:, :, :d].reshape(batch, seq, h, dh).transpose(0, 2, 1, 3)
-            k = qkv4[:, :, d : 2 * d].reshape(batch, seq, h, dh).transpose(0, 2, 1, 3)
-            v = qkv4[:, :, 2 * d :].reshape(batch, seq, h, dh).transpose(0, 2, 1, 3)
-        scores, stat, ctx, merge = buf["scores"], buf["stat"], buf["ctx"], buf["merge"]
-        if self.dtype is np.float64:
+            scores, stat, ctx = buf["scores"], buf["stat"], buf["ctx"]
             np.matmul(q, k.transpose(0, 1, 3, 2), out=scores)
             np.multiply(scores, self.scale, out=scores)
             if additive is not None:
@@ -455,27 +498,31 @@ class InferencePlan:
             np.sum(scores, axis=-1, keepdims=True, out=stat)
             np.divide(scores, stat, out=scores)
             np.matmul(scores, v, out=ctx)
-        else:
-            # transposed scores K·Qᵀ, keys on axis -2 (Q carries the
-            # 1/sqrt(d_h) scale since compile): the softmax reductions
-            # then run across contiguous rows, several times faster than
-            # along a short last axis
-            np.matmul(k, q.transpose(0, 1, 3, 2), out=scores)
-            if additive is not None:
-                np.add(scores, additive, out=scores)
-            np.max(scores, axis=-2, keepdims=True, out=stat)
-            np.subtract(scores, stat, out=scores)
-            np.exp(scores, out=scores)
-            np.sum(scores, axis=-2, keepdims=True, out=stat)
-            np.divide(scores, stat, out=scores)
-            np.matmul(scores.transpose(0, 1, 3, 2), v, out=ctx)
-        np.copyto(merge, ctx.transpose(0, 2, 1, 3))
-        attn = buf["attn"]
-        if self.dtype is np.float64:
-            attn3 = attn.reshape(batch, seq, d)
+            np.copyto(merge, ctx.transpose(0, 2, 1, 3))
+            attn3 = buf["attn"].reshape(batch, seq, d)
             np.matmul(merge.reshape(batch, seq, d), layer.wo, out=attn3)
             np.add(attn3, layer.bo, out=attn3)
             return attn3
+        qkv = buf["qkv"]
+        np.matmul(buf["x"].reshape(batch * seq, d), layer.wqkv, out=qkv)
+        np.add(qkv, layer.bqkv, out=qkv)
+        # head split: strided views into the fused projection, no copies
+        heads = qkv.reshape(batch, seq, 3, h, dh).transpose(2, 0, 3, 1, 4)
+        q, k, v = heads[0], heads[1], heads[2]
+        # scores[j, b, h, i] = k[b, h, j] · q[b, h, i] (Q carries the
+        # 1/sqrt(d_h) scale since compile)
+        scores, stat = buf["scores"], buf["stat"]
+        np.matmul(k, q.transpose(0, 1, 3, 2), out=scores.transpose(1, 2, 0, 3))
+        if additive is not None:
+            np.add(scores, additive, out=scores)
+        flat = scores.reshape(seq, -1)
+        np.maximum.reduce(flat, axis=0, out=stat)
+        np.subtract(flat, stat, out=flat)
+        np.exp(flat, out=flat)
+        np.add.reduce(flat, axis=0, out=stat)
+        np.divide(flat, stat, out=flat)
+        np.matmul(scores.transpose(1, 2, 3, 0), v, out=merge.transpose(0, 2, 1, 3))
+        attn = buf["attn"]
         np.matmul(merge.reshape(batch * seq, d), layer.wo, out=attn)
         np.add(attn, layer.bo, out=attn)
         return attn.reshape(batch, seq, d)
@@ -505,8 +552,14 @@ class InferencePlan:
         additive = None
         if attention_mask is not None:
             mask = np.asarray(attention_mask, dtype=bool)
-            additive = buf["additive"]
-            np.copyto(additive, np.where(mask, 0.0, NEG_INF).reshape(additive.shape))
+            if self.dtype is np.float64:
+                additive = buf["additive"]
+                np.copyto(additive, np.where(mask, 0.0, NEG_INF).reshape(additive.shape))
+            elif not mask.all():
+                # keys-outer, one value per (key, batch row); a chunk of
+                # full-length rows skips the add altogether
+                additive = buf["additive"]
+                np.copyto(additive, np.where(mask.T, 0.0, NEG_INF).reshape(additive.shape))
         res = buf["res"]
         for layer in self.layers:
             attended = self._attention(layer, buf, batch, seq, additive)
@@ -520,32 +573,36 @@ class InferencePlan:
             else:
                 np.matmul(x.reshape(batch * seq, self.hidden_size), layer.w_in, out=ffh)
             np.add(ffh, layer.b_in, out=ffh)
-            # in-place tanh-approximation GELU (the tape's F.gelu):
-            # 0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 x^3)))
             if self.dtype is np.float64:
+                # in-place tanh-approximation GELU (the tape's F.gelu):
+                # 0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 x^3)));
                 # x ** 3 dispatches to libm pow, which is not the
                 # double-rounded x*x*x — the tape pays the same call, so
                 # matching it is the price of bitwise parity
                 np.power(ffh, 3, out=gtmp)
-            else:
-                # float32 is tolerance-mode: the multiply chain is ~30x
-                # cheaper than scalar pow and within 1 ulp of it
-                np.multiply(ffh, ffh, out=gtmp)
-                np.multiply(gtmp, ffh, out=gtmp)
-            np.multiply(gtmp, 0.044715, out=gtmp)
-            np.add(ffh, gtmp, out=gtmp)
-            np.multiply(gtmp, F._SQRT_2_OVER_PI, out=gtmp)
-            np.tanh(gtmp, out=gtmp)
-            np.add(gtmp, 1.0, out=gtmp)
-            np.multiply(ffh, 0.5, out=ffh)
-            np.multiply(ffh, gtmp, out=ffh)
-            if self.dtype is np.float64:
+                np.multiply(gtmp, 0.044715, out=gtmp)
+                np.add(ffh, gtmp, out=gtmp)
+                np.multiply(gtmp, F._SQRT_2_OVER_PI, out=gtmp)
+                np.tanh(gtmp, out=gtmp)
+                np.add(gtmp, 1.0, out=gtmp)
+                np.multiply(ffh, 0.5, out=ffh)
+                np.multiply(ffh, gtmp, out=ffh)
                 np.matmul(
                     ffh.reshape(batch, seq, -1),
                     layer.w_out,
                     out=ff2.reshape(batch, seq, self.hidden_size),
                 )
             else:
+                # the same GELU factored as x * (1 + tanh(x * (c + c*a*x^2))),
+                # its 0.5 folded into w_out at compile: seven passes over
+                # the activations in place of nine, and no scalar pow
+                np.multiply(ffh, ffh, out=gtmp)
+                np.multiply(gtmp, _GELU_CA, out=gtmp)
+                np.add(gtmp, F._SQRT_2_OVER_PI, out=gtmp)
+                np.multiply(gtmp, ffh, out=gtmp)
+                np.tanh(gtmp, out=gtmp)
+                np.add(gtmp, 1.0, out=gtmp)
+                np.multiply(ffh, gtmp, out=ffh)
                 np.matmul(ffh, layer.w_out, out=ff2)
             np.add(ff2, layer.b_out, out=ff2)
             np.add(x, ff2.reshape(batch, seq, self.hidden_size), out=res)
@@ -556,10 +613,12 @@ class InferencePlan:
     def pooled(self, ids, attention_mask, strategy: str = "mean") -> np.ndarray:
         """Pooled embeddings ``(B, D)`` — forward + the tape's pooling.
 
-        Mean pooling replicates :func:`repro.lm.pooling.mean_pool`'s
+        float64 mean pooling replicates :func:`repro.lm.pooling.mean_pool`'s
         ``(B, 1, T) @ (B, T, D)`` matmul formulation (not a masked sum),
-        which is part of the bitwise contract.  The result is a view
-        into plan scratch; copy before the next call.
+        which is part of the bitwise contract; float32 sums the weighted
+        positions in order, which keeps a row's result independent of
+        its chunk.  The result is a view into plan scratch; copy before
+        the next call.
         """
         hidden = self.forward(ids, attention_mask)
         if strategy == "cls":
@@ -572,13 +631,18 @@ class InferencePlan:
         counts = mask.sum(axis=1, keepdims=True)
         if (counts == 0).any():
             raise ValueError("attention_mask has rows with no valid positions")
-        weights = buf["weights"]
-        np.divide(mask, counts, out=weights)
-        pooled = buf["pooled"]
+        weights, pooled = buf["weights"], buf["pooled"]
         if self.dtype is np.float64:
+            np.divide(mask, counts, out=weights)
             np.matmul(weights[:, None, :], hidden, out=pooled)
         else:
-            np.matmul(weights[:, None, :].astype(self.dtype), hidden, out=pooled)
+            # a weighted sum in position order: a padded position adds
+            # an exact zero, so a row pools to the same bits at any
+            # width (a batched gemv's grouping follows the width)
+            np.divide(mask, counts, out=weights[..., 0], casting="same_kind")
+            terms = buf["res"]
+            np.multiply(hidden, weights, out=terms)
+            np.add.reduce(terms, axis=1, keepdims=True, out=pooled)
         return pooled.reshape(batch, d)
 
     # -- observability -----------------------------------------------------

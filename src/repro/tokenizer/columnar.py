@@ -82,7 +82,12 @@ class TokenBatch:
         *,
         pad_id: int = 0,
     ) -> "TokenBatch":
-        """Wrap raw ``(token_ids, lengths)`` arrays as a batch."""
+        """Wrap raw ``(token_ids, lengths)`` arrays as a batch.
+
+        Every length must lie in ``[1, token width]``: a row always
+        carries ``[CLS]`` and ``[SEP]``, and a row with no valid
+        position has nothing to pool.
+        """
         ids = np.ascontiguousarray(token_ids, dtype=np.int64)
         if ids.ndim != 2:
             raise ValueError(f"token_ids must be 2-D (got shape {ids.shape})")
@@ -91,8 +96,15 @@ class TokenBatch:
             raise ValueError(
                 f"lengths shape {lengths.shape} does not match {ids.shape[0]} rows"
             )
-        if len(lengths) and (lengths.min() < 0 or lengths.max() > ids.shape[1]):
-            raise ValueError("lengths must lie in [0, token width]")
+        empty = np.flatnonzero(lengths < 1)
+        if empty.size:
+            row = int(empty[0])
+            raise ValueError(
+                f"lengths[{row}] is {int(lengths[row])}: every row carries at "
+                "least [CLS] and [SEP], so a length must be >= 1"
+            )
+        if len(lengths) and lengths.max() > ids.shape[1]:
+            raise ValueError(f"lengths must not exceed the token width {ids.shape[1]}")
         return cls(ids=ids, lengths=lengths, pad_id=int(pad_id))
 
 

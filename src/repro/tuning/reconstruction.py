@@ -76,9 +76,7 @@ class ReconstructionTuner(IntrusionScorer):
             # in place and must not leak into other methods.
             model = CommandLineLM(encoder.model.config)
             model.load_state_dict(encoder.model.state_dict())
-            encoder = CommandEncoder(
-                model, encoder.tokenizer, pooling=encoder.pooling, batch_size=encoder.batch_size
-            )
+            encoder = CommandEncoder(model, encoder.tokenizer, pooling=encoder.pooling)
         self.encoder = encoder
         self.variance_kept = variance_kept
         self.n_rounds = n_rounds

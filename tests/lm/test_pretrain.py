@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.lm import CommandEncoder, CommandLineLM, LMConfig, MLMCollator, Pretrainer
+from repro.lm.encoder_api import forward_chunks
 from repro.tokenizer import BPETokenizer
 
 CORPUS = [
@@ -105,8 +106,16 @@ class TestCommandEncoder:
 
     def test_order_preserved_under_bucketing(self, trained, tokenizer):
         model, _ = trained
-        encoder = CommandEncoder(model, tokenizer, batch_size=2)
-        lines = ["ls", "docker run -it ubuntu bash", "pwd", "grep error /var/log/app.log"]
+        encoder = CommandEncoder(model, tokenizer)
+        # lengths interleaved so the length sort moves rows across chunks
+        lines = [
+            f"{command} {'x' * (index % 7)}"
+            for index, command in enumerate(
+                ["ls", "docker run -it ubuntu bash", "pwd", "grep error /var/log/app.log"] * 40
+            )
+        ]
+        lengths = sorted(len(encoding) for encoding in encoder._encode(lines))
+        assert len(forward_chunks(lengths)) >= 3
         batched = encoder.embed(lines)
         individual = np.vstack([encoder.embed([line]) for line in lines])
         np.testing.assert_allclose(batched, individual, atol=1e-8)

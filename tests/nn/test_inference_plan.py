@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lm.config import LMConfig
+from repro.lm.encoder_api import CHUNK_CELLS
 from repro.lm.model import CommandLineLM
 from repro.lm.pooling import pool
 from repro.nn import Dropout, Tensor
@@ -129,6 +130,60 @@ class TestFloat32Tolerance:
         # post-LayerNorm activations are O(1); 1e-4 absolute is ~1000 ulp
         # of float32 headroom across two blocks of accumulated rounding
         np.testing.assert_allclose(got, want, atol=1e-4, rtol=1e-3)
+
+
+class TestFloat32RowInvariance:
+    """A float32 row pools to the same bits in any chunk the encoder cuts.
+
+    Served and offline scores of one line are compared bitwise
+    (``test_stream_matches_batch_inspect``), though the two paths embed
+    it in different chunks.  That holds only while no kernel lets one
+    row's arithmetic depend on the other rows or on the padded width:
+    every row sum and GEMM reduction runs in an order fixed by the
+    model's shape alone, and a padded position adds exact zeros.  Chunks
+    obey the encoder's cell rule, and rows carry at least the two
+    special tokens.
+    """
+
+    @given(
+        st.tuples(
+            st.integers(min_value=1, max_value=4),  # heads
+            st.sampled_from([4, 8, 16]),  # head_dim
+            st.integers(min_value=1, max_value=2),  # layers
+            st.integers(min_value=0, max_value=2**31 - 1),  # weight/id seed
+        ),
+        st.data(),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_pooled_row_is_bitwise_stable_across_chunks(self, geom, data):
+        heads, head_dim, layers, seed = geom
+        max_position = 48
+        model = build_model(
+            n_heads=heads,
+            head_dim=head_dim,
+            n_layers=layers,
+            max_position=max_position,
+            seed=seed % 1000,
+        )
+        plan = InferencePlan.compile(model, precision="float32")
+        rng = np.random.default_rng(seed)
+        length = data.draw(st.integers(min_value=2, max_value=max_position), "length")
+        row = rng.integers(0, model.config.vocab_size, size=length)
+
+        def chunk_with_row(width, rows, at):
+            # *rows* random rows padded to *width*, ours at index *at*
+            ids = rng.integers(0, model.config.vocab_size, size=(rows, width))
+            lengths = rng.integers(2, width + 1, size=rows)
+            ids[at, :length], lengths[at] = row, length
+            mask = np.arange(width) < lengths[:, None]
+            return plan.pooled(ids, mask)[at].copy()
+
+        alone = chunk_with_row(length, 1, 0)
+        for _ in range(3):
+            width = data.draw(st.integers(min_value=length, max_value=max_position), "width")
+            rows = data.draw(st.integers(min_value=1, max_value=CHUNK_CELLS // width), "rows")
+            at = data.draw(st.integers(min_value=0, max_value=rows - 1), "at")
+            assert chunk_with_row(width, rows, at).tobytes() == alone.tobytes()
 
 
 class TestCompileSurface:

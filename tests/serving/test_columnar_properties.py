@@ -11,6 +11,7 @@ exercises.
 import string
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,8 +19,8 @@ from hypothesis import strategies as st
 # quotes, and non-ASCII bytes the BPE maps to [UNK]
 _ALPHABET = string.ascii_letters + string.digits + "-_./|&;<>'\"$() \t" + "é¥λ"
 
-# max_size exceeds the encoder's native batch width (32) so batches
-# span multiple embed chunks, and min_size=0 covers the empty batch
+# up to 70 lines overflow one 384-cell forward chunk, so larger batches
+# span several embed chunks, and min_size=0 covers the empty batch
 lines_strategy = st.lists(
     st.text(alphabet=_ALPHABET, min_size=0, max_size=48), min_size=0, max_size=70
 )
@@ -47,6 +48,13 @@ def test_raw_array_form_matches_token_batch_form(demo_service, lines):
         demo_service.score_batch(rebuilt).tobytes()
         == demo_service.score_batch(batch).tobytes()
     )
+
+
+@pytest.mark.parametrize("lengths", [[0, 3], [0, 0]])
+def test_raw_arrays_with_an_empty_row_are_rejected(demo_service, lengths):
+    ids = np.zeros((2, 3), dtype=np.int64)
+    with pytest.raises(ValueError, match=r"lengths\[0\] is 0"):
+        demo_service.score_batch(ids, np.array(lengths))
 
 
 def test_empty_batch_scores_empty(demo_service):

@@ -106,6 +106,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="lengths"):
             TokenBatch.from_arrays(ids, np.array([1, 2, 5]))
 
+    @pytest.mark.parametrize(
+        "lengths, row",
+        [([0, 3], 0), ([0, 0], 0), ([3, 0], 1), ([2, 4, -1], 2)],
+    )
+    def test_from_arrays_rejects_rows_without_tokens(self, lengths, row):
+        ids = np.zeros((len(lengths), 4), dtype=np.int64)
+        with pytest.raises(ValueError, match=rf"lengths\[{row}\] is {lengths[row]}"):
+            TokenBatch.from_arrays(ids, np.array(lengths))
+
     def test_rows_slicing_is_a_view(self):
         batch = COLUMNAR.encode(["ls -la", "docker ps", "python main.py"])
         window = batch.rows(slice(1, 3))

@@ -162,14 +162,14 @@ class IntrusionDetectionService:
                 digest.update(parameter.data.tobytes())
         return digest.hexdigest()[:16]
 
-    def compile_inference(self, precision: str = "float64") -> bool:
-        """Compile the encoder's LM into a graph-free serving plan.
+    def compile_inference(self) -> bool:
+        """Compile the encoder's LM into a graph-free float32 serving plan.
 
         Routes :meth:`score_normalized`/:meth:`score_batch` (and, when a
         multi-line head shares the LM, :meth:`score_sequence`) through a
-        :class:`~repro.nn.inference.InferencePlan`.  ``float64`` scores
-        are bitwise-identical to the Tensor path; ``float32`` trades
-        ~1e-6 score drift for roughly half the memory traffic.
+        :class:`~repro.nn.inference.InferencePlan`, whose scores stay
+        within ~1e-6 of the Tensor path with its verdicts.  The Tensor
+        path (:meth:`reset_inference`) is the bit-exact float64 one.
 
         Returns ``True`` on success.  A model outside the compiler's
         surface warns and returns ``False`` — the service keeps serving
@@ -182,7 +182,7 @@ class IntrusionDetectionService:
             encoders.append(self.multiline_tuner.encoder)
         try:
             for encoder in encoders:
-                encoder.compile_inference(precision)
+                encoder.compile_inference()
         except InferenceCompileError as exc:
             for encoder in encoders:
                 encoder.reset_inference()
@@ -205,12 +205,6 @@ class IntrusionDetectionService:
     def inference_compiled(self) -> bool:
         """Whether scoring currently runs through a compiled plan."""
         return self.encoder.inference_plan is not None
-
-    @property
-    def inference_precision(self) -> str | None:
-        """Precision of the active compiled plan (``None`` when not compiled)."""
-        plan = self.encoder.inference_plan
-        return plan.precision if plan is not None else None
 
     # -- inference -----------------------------------------------------------
 

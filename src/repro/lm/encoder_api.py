@@ -62,10 +62,9 @@ class CommandEncoder:
     Every embed path cuts its forward chunks by :func:`forward_chunks`
     (at most :data:`CHUNK_CELLS` rows × padded width).  After
     :meth:`compile_inference`, the embed paths run through a graph-free
-    :class:`~repro.nn.inference.InferencePlan` instead of the autograd
-    tape; in float64 mode the embeddings are bitwise-identical either
-    way (chunk composition, padding, and pooling are replicated
-    exactly).  Further training of ``model`` requires recompiling — the
+    float32 :class:`~repro.nn.inference.InferencePlan` instead of the
+    autograd tape, within float32 tolerance of the tape's embeddings.
+    Further training of ``model`` requires recompiling — the
     plan snapshots the weights.
 
     Example
@@ -107,7 +106,7 @@ class CommandEncoder:
         """The compiled plan serving the embed paths, if any."""
         return self._plan
 
-    def compile_inference(self, precision: str = "float64") -> InferencePlan:
+    def compile_inference(self) -> InferencePlan:
         """Compile the model into an :class:`InferencePlan` and route
         :meth:`embed`/:meth:`embed_batch`/:meth:`embed_tokens` through it.
 
@@ -115,7 +114,7 @@ class CommandEncoder:
         the model is outside the compiler's surface; the encoder is left
         on the Tensor path in that case.
         """
-        plan = InferencePlan.compile(self.model, precision)
+        plan = InferencePlan.compile(self.model)
         self._plan = plan
         return plan
 
@@ -168,7 +167,7 @@ class CommandEncoder:
         token lengths, cut by :func:`forward_chunks` into chunks of at
         most :data:`CHUNK_CELLS` rows × padded width, each chunk padded
         to its own max token width — so for the same lines the two paths
-        produce **bitwise-identical** embeddings (in float64, chunk
+        produce **bitwise-identical** embeddings (on the tape, chunk
         composition changes the blocked-summation grouping inside BLAS,
         so replicating it is part of the contract, not an optimization).
         """

@@ -1,4 +1,4 @@
-"""Compiled inference: graph-free, buffer-reusing forward kernels.
+"""Compiled inference: graph-free, buffer-reusing float32 forward kernels.
 
 Every serving-time forward pass used to execute through the float64
 reverse-mode autograd tape in :mod:`repro.nn.tensor` — per-op ``Tensor``
@@ -8,13 +8,13 @@ tiny stacked BLAS call per batch row for every linear layer.  Under
 dropout masks are never drawn, and the per-op overhead *is* the cost.
 
 :class:`InferencePlan` compiles a trained
-:class:`~repro.lm.model.CommandLineLM` once into straight-line numpy:
+:class:`~repro.lm.model.CommandLineLM` once into straight-line float32
+numpy:
 
-- **weights as raw contiguous arrays** — on the float32 hot path the
-  query/key/value projections of every layer are prepacked into one
-  fused ``(D, 3D)`` matrix, so a layer's QKV projection is a single GEMM
-  over the flattened ``(B*T, D)`` activations (float64 keeps the tape's
-  per-projection batched call shapes — see below);
+- **weights as raw contiguous float32 arrays** — the query/key/value
+  projections of every layer are prepacked into one fused ``(D, 3D)``
+  matrix, so a layer's QKV projection is a single GEMM over the
+  flattened ``(B*T, D)`` activations;
 - **one scratch arena per thread** — every intermediate (hidden
   states, attention scores, FFN activations) is a view into one flat,
   grow-only array per intermediate, shared by every ``(batch, seq)``
@@ -24,12 +24,9 @@ dropout masks are never drawn, and the per-op overhead *is* the cost.
 - **eval-mode structure folded out at compile time** — dropout layers
   vanish entirely, layer norms run as in-place ufuncs, and the scale →
   mask → softmax of attention runs as one fused in-place kernel per
-  layer;
-- **a precision knob** — ``precision="float64"`` (default) keeps every
-  kernel in the tape's dtype, ``"float32"`` casts the packed weights and
-  scratch once at compile time for roughly half the memory traffic.
+  layer.
 
-The float32 kernel is cheaper per token than a dtype swap alone:
+The kernel is cheaper per token than a dtype swap alone:
 
 - the attention scale is folded into the query weights, and GELU's 0.5
   into the FFN output weights; GELU runs as seven passes without ``pow``;
@@ -41,9 +38,12 @@ The float32 kernel is cheaper per token than a dtype swap alone:
 - layer-norm row sums come from ``np.einsum``, and mean pooling is a
   weighted sum in position order.
 
-float32 keeps one guarantee of its own: **row invariance**.  A row's
-pooled output is bitwise the same alone, inside any chunk the encoder
-cuts (:func:`repro.lm.encoder_api.forward_chunks`), or padded to a wider
+The plan scores within float32 tolerance of the tape (~1e-6 on a
+score), with the tape's verdicts; the tape itself stays the bit-exact
+float64 path (``compiled = false`` when serving).  The plan keeps one
+guarantee of its own: **row invariance**.  A row's pooled output is
+bitwise the same alone, inside any chunk the encoder cuts
+(:func:`repro.lm.encoder_api.forward_chunks`), or padded to a wider
 width, because every reduction runs in an order fixed by the model's
 shape and a padded position adds exact zeros.  Served and offline
 scores of one line are compared bitwise on that basis.  Row sums
@@ -52,23 +52,8 @@ follows the call's row count, and it moved pooled rows by up to ~4e-7
 between chunkings.  The GEMMs keep each row's order for the shapes the
 encoder issues — at least two token rows (a one-row product becomes a
 gemv) and at most :data:`~repro.lm.encoder_api.CHUNK_CELLS` cells
-(far larger calls may switch BLAS kernels).
-
-The float64 contract is strict: :meth:`InferencePlan.forward` is
-**bitwise-identical** to ``CommandLineLM.forward(...).data`` under
-``no_grad``, and :meth:`InferencePlan.pooled` to
-``pool(hidden, mask, strategy).data``.  Each kernel replicates the exact
-ufunc sequence of the tape path (same operand order, same ``x ** 3``
-power, same ``1.0 / sqrt`` reciprocal) **and the exact GEMM call
-shapes**: BLAS picks its micro-kernel, and therefore its summation
-grouping, from the operand shapes, so a fused or flattened matmul can
-differ from the tape's batched ``(B, T, D) @ (D, D)`` call in the last
-bit at thin shapes.  float64 therefore issues the tape's calls
-verbatim and wins on buffer reuse and folded-out graph bookkeeping
-alone; the shape-changing fusions (QKV packing, ``(B*T, D)``
-flattening, the keys-outer softmax) are reserved for float32, which is
-tolerance-mode against the tape anyway (both contracts are
-property-tested in ``tests/nn/test_inference_plan.py``).
+(far larger calls may switch BLAS kernels).  Both properties are
+tested in ``tests/nn/test_inference_plan.py``.
 
 Models the compiler does not cover (subclassed modules, bias-free
 linears, non-standard block wiring) raise
@@ -90,14 +75,11 @@ from repro.nn.attention import NEG_INF, MultiHeadSelfAttention
 from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear
 from repro.nn.transformer import TransformerBlock, TransformerEncoder
 
-#: Supported compute precisions for a compiled plan.
-PRECISIONS = ("float64", "float32")
-
 #: Shapes whose scratch views one thread caches (~3 KB of view objects
 #: each, no array data); past this the cache of views is emptied.
 _MAX_VIEW_SHAPES = 256
 
-#: The float32 GELU's folded constant ``sqrt(2/pi) * 0.044715``.
+#: GELU's folded constant ``sqrt(2/pi) * 0.044715``.
 _GELU_CA = F._SQRT_2_OVER_PI * 0.044715
 
 
@@ -123,33 +105,21 @@ def _exact(module, cls, where: str):
     return module
 
 
-def _packed(array: np.ndarray, dtype) -> np.ndarray:
-    """A contiguous snapshot of *array* in the plan's dtype.
+def _packed(array: np.ndarray) -> np.ndarray:
+    """A contiguous float32 snapshot of *array*.
 
     Always a copy — the plan must be immune to post-compile weight
     updates (continued training), so it never aliases model storage.
     """
-    return np.array(array, dtype=dtype, order="C", copy=True)
+    return np.array(array, dtype=np.float32, order="C", copy=True)
 
 
 @dataclass(frozen=True)
 class _LayerKernel:
-    """One transformer block's weights, prepacked for the fused kernels.
-
-    Both the fused ``(D, 3D)`` QKV matrix (float32 hot path — one GEMM)
-    and the separate per-projection matrices (float64 parity path) are
-    kept: BLAS kernel dispatch depends on the GEMM call shape, so the
-    bitwise contract forces float64 to issue exactly the tape's calls.
-    """
+    """One transformer block's weights, prepacked for the fused kernels."""
 
     wqkv: np.ndarray  # (D, 3D) — fused query|key|value, query scaled by 1/sqrt(d_h)
     bqkv: np.ndarray  # (3D,), query part scaled likewise
-    wq: np.ndarray  # (D, D) separate projections — float64 parity path
-    bq: np.ndarray
-    wk: np.ndarray
-    bk: np.ndarray
-    wv: np.ndarray
-    bv: np.ndarray
     wo: np.ndarray  # (D, D) attention output projection
     bo: np.ndarray  # (D,)
     attn_gamma: np.ndarray
@@ -157,7 +127,7 @@ class _LayerKernel:
     attn_eps: float
     w_in: np.ndarray  # (D, I)
     b_in: np.ndarray  # (I,)
-    w_out: np.ndarray  # (I, D); float32 scales it by GELU's 0.5
+    w_out: np.ndarray  # (I, D), scaled by GELU's 0.5
     b_out: np.ndarray  # (D,)
     ffn_gamma: np.ndarray
     ffn_beta: np.ndarray
@@ -168,7 +138,7 @@ class InferencePlan:
     """A trained :class:`CommandLineLM` compiled to straight-line numpy.
 
     Build one with :meth:`compile`; the plan snapshots the model's
-    weights (raw contiguous arrays, QKV fused per layer), so weight
+    weights (raw contiguous float32 arrays, QKV fused per layer), so weight
     updates after compilation require recompiling.  The plan is the
     serving hot path behind
     :meth:`repro.lm.encoder_api.CommandEncoder.compile_inference`.
@@ -194,10 +164,12 @@ class InferencePlan:
     returned result is never overwritten by a larger shape.
     """
 
+    #: The plan's compute and result dtype.
+    dtype = np.float32
+
     def __init__(
         self,
         *,
-        precision: str,
         token_weight: np.ndarray,
         position_weight: np.ndarray,
         embed_gamma: np.ndarray,
@@ -208,8 +180,6 @@ class InferencePlan:
         head_dim: int,
         max_position: int,
     ):
-        self.precision = precision
-        self.dtype = np.float32 if precision == "float32" else np.float64
         self.token_weight = token_weight
         self.position_weight = position_weight
         self.embed_gamma = embed_gamma
@@ -222,7 +192,6 @@ class InferencePlan:
         self.intermediate_size = layers[0].w_in.shape[1] if layers else 0
         self.max_position = max_position
         self.vocab_size = token_weight.shape[0]
-        self.scale = 1.0 / math.sqrt(head_dim)
         #: Forward passes served since compilation (observability).
         self.calls = 0
         self._local = threading.local()
@@ -230,35 +199,31 @@ class InferencePlan:
     # -- compilation -------------------------------------------------------
 
     @classmethod
-    def compile(cls, model, precision: str = "float64") -> "InferencePlan":
+    def compile(cls, model) -> "InferencePlan":
         """Extract and prepack *model*'s weights into a plan.
 
         Raises :class:`InferenceCompileError` for any model whose
         structure the straight-line kernels do not cover.
         """
-        if precision not in PRECISIONS:
-            raise ValueError(f"precision must be one of {PRECISIONS} (got {precision!r})")
         # deferred import: repro.lm imports this module's host package
         from repro.lm.model import CommandLineLM
 
         _exact(model, CommandLineLM, "model")
-        dtype = np.float32 if precision == "float32" else np.float64
         token = _exact(model.token_embedding, Embedding, "model.token_embedding")
         position = _exact(model.position_embedding, Embedding, "model.position_embedding")
         norm = _exact(model.embedding_norm, LayerNorm, "model.embedding_norm")
         _exact(model.embedding_dropout, Dropout, "model.embedding_dropout")
         encoder = _exact(model.encoder, TransformerEncoder, "model.encoder")
         layers = [
-            cls._compile_block(block, index, dtype)
+            cls._compile_block(block, index)
             for index, block in enumerate(encoder.blocks)
         ]
         config = model.config
         return cls(
-            precision=precision,
-            token_weight=_packed(token.weight.data, dtype),
-            position_weight=_packed(position.weight.data, dtype),
-            embed_gamma=_packed(norm.gamma.data, dtype),
-            embed_beta=_packed(norm.beta.data, dtype),
+            token_weight=_packed(token.weight.data),
+            position_weight=_packed(position.weight.data),
+            embed_gamma=_packed(norm.gamma.data),
+            embed_beta=_packed(norm.beta.data),
             embed_eps=float(norm.eps),
             layers=layers,
             n_heads=config.n_heads,
@@ -267,7 +232,7 @@ class InferencePlan:
         )
 
     @staticmethod
-    def _compile_block(block, index: int, dtype) -> _LayerKernel:
+    def _compile_block(block, index: int) -> _LayerKernel:
         where = f"model.encoder.blocks[{index}]"
         _exact(block, TransformerBlock, where)
         attention = _exact(block.attention, MultiHeadSelfAttention, f"{where}.attention")
@@ -292,42 +257,30 @@ class InferencePlan:
             raise InferenceCompileError(f"{where} FFN linears must carry biases")
         assert query.bias is not None and key.bias is not None
         assert value.bias is not None and output.bias is not None
-        # the float32 kernel's attention scale, folded into its query
-        # columns (the float64 path scales its scores as the tape does)
+        # the attention scale, folded into the query columns
         scale = 1.0 / math.sqrt(attention.head_dim)
         return _LayerKernel(
-            # prepacked QKV: one (D, 3D) GEMM replaces three batched
-            # matmuls on the float32 hot path
+            # prepacked QKV: one (D, 3D) GEMM replaces three matmuls
             wqkv=_packed(
                 np.concatenate(
                     [query.weight.data * scale, key.weight.data, value.weight.data], axis=1
-                ),
-                dtype,
+                )
             ),
             bqkv=_packed(
-                np.concatenate([query.bias.data * scale, key.bias.data, value.bias.data]),
-                dtype,
+                np.concatenate([query.bias.data * scale, key.bias.data, value.bias.data])
             ),
-            wq=_packed(query.weight.data, dtype),
-            bq=_packed(query.bias.data, dtype),
-            wk=_packed(key.weight.data, dtype),
-            bk=_packed(key.bias.data, dtype),
-            wv=_packed(value.weight.data, dtype),
-            bv=_packed(value.bias.data, dtype),
-            wo=_packed(output.weight.data, dtype),
-            bo=_packed(output.bias.data, dtype),
-            attn_gamma=_packed(attn_norm.gamma.data, dtype),
-            attn_beta=_packed(attn_norm.beta.data, dtype),
+            wo=_packed(output.weight.data),
+            bo=_packed(output.bias.data),
+            attn_gamma=_packed(attn_norm.gamma.data),
+            attn_beta=_packed(attn_norm.beta.data),
             attn_eps=float(attn_norm.eps),
-            w_in=_packed(ffn_in.weight.data, dtype),
-            b_in=_packed(ffn_in.bias.data, dtype),
-            # float32 folds GELU's 0.5 into w_out (exact: a power of two)
-            w_out=_packed(
-                ffn_out.weight.data * (0.5 if dtype is np.float32 else 1.0), dtype
-            ),
-            b_out=_packed(ffn_out.bias.data, dtype),
-            ffn_gamma=_packed(ffn_norm.gamma.data, dtype),
-            ffn_beta=_packed(ffn_norm.beta.data, dtype),
+            w_in=_packed(ffn_in.weight.data),
+            b_in=_packed(ffn_in.bias.data),
+            # GELU's 0.5 folded into w_out (exact: a power of two)
+            w_out=_packed(ffn_out.weight.data * 0.5),
+            b_out=_packed(ffn_out.bias.data),
+            ffn_gamma=_packed(ffn_norm.gamma.data),
+            ffn_beta=_packed(ffn_norm.beta.data),
             ffn_eps=float(ffn_norm.eps),
         )
 
@@ -355,52 +308,39 @@ class InferencePlan:
             return buf
         d, h, dh, i = self.hidden_size, self.n_heads, self.head_dim, self.intermediate_size
         rows = batch * seq
-        dt = self.dtype
         shapes = {
-            "x": ((batch, seq, d), dt),
-            "res": ((batch, seq, d), dt),
-            "mu": ((batch, seq, 1), dt),
-            "var": ((batch, seq, 1), dt),
-            "merge": ((batch, seq, h, dh), dt),
-            "attn": ((rows, d), dt),
-            "ffh": ((rows, i), dt),
-            "gtmp": ((rows, i), dt),
-            "ff2": ((rows, d), dt),
-            "pooled": ((batch, 1, d), dt),
-            "weights": ((batch, seq), np.float64),
-        }
-        if dt is np.float64:
-            # parity path: one (B, T, D) output per projection, written
-            # by the tape's exact batched-matmul call shapes, and the
-            # tape's (B, H, queries, keys) softmax
-            for name in ("q3", "k3", "v3", "sq"):
-                shapes[name] = ((batch, seq, d), dt)
-            shapes["scores"] = ((batch, h, seq, seq), dt)
-            shapes["stat"] = ((batch, h, seq, 1), dt)
-            shapes["ctx"] = ((batch, h, seq, dh), dt)
-            shapes["additive"] = ((batch, 1, 1, seq), dt)
-        else:
+            "x": (batch, seq, d),
+            "res": (batch, seq, d),
+            "mu": (batch, seq, 1),
+            "var": (batch, seq, 1),
+            "merge": (batch, seq, h, dh),
+            "attn": (rows, d),
+            "ffh": (rows, i),
+            "gtmp": (rows, i),
+            "ff2": (rows, d),
+            "pooled": (batch, 1, d),
+            "weights": (batch, seq, 1),
             # the fused (B*T, D) @ (D, 3D) projection; the keys-outer
             # softmax keeps its scores as (keys, B, H, queries), one
             # statistic per (batch, head, query) and its mask per key
-            shapes["qkv"] = ((rows, 3 * d), dt)
-            shapes["scores"] = ((seq, batch, h, seq), dt)
-            shapes["stat"] = ((batch * h * seq,), dt)
-            shapes["additive"] = ((seq, batch, 1, 1), dt)
-            shapes["weights"] = ((batch, seq, 1), dt)
+            "qkv": (rows, 3 * d),
+            "scores": (seq, batch, h, seq),
+            "stat": (batch * h * seq,),
+            "additive": (seq, batch, 1, 1),
+        }
         arena = local.arena
-        for name, (shape, dtype) in shapes.items():
+        for name, shape in shapes.items():
             flat = arena.get(name)
             need = math.prod(shape)
             if flat is None or flat.size < need:
                 grown = max(need, 2 * flat.size) if flat is not None else need
-                arena[name] = np.empty(grown, dtype=dtype)
+                arena[name] = np.empty(grown, dtype=self.dtype)
                 views.clear()
         if len(views) >= _MAX_VIEW_SHAPES:
             views.clear()
         buf = views[key] = {
             name: arena[name][: math.prod(shape)].reshape(shape)
-            for name, (shape, _) in shapes.items()
+            for name, shape in shapes.items()
         }
         return buf
 
@@ -414,34 +354,23 @@ class InferencePlan:
     def _layer_norm(self, src, gamma, beta, eps, out, buf) -> None:
         """Post-norm layer norm, in place over *src*, result into *out*.
 
-        Replicates :func:`repro.nn.functional.layer_norm` ufunc-for-ufunc
-        (mean, centered, ``centered ** 2`` mean, ``1.0 / sqrt(var+eps)``,
-        scale, shift) so float64 results are bit-equal.  Each mean is
-        the two ufuncs ``np.mean`` issues — a sum, then an unsafe-cast
-        divide by an ``intp`` count — without its Python overhead.
-        *src* is clobbered; *out* may alias *src*.
-
-        float32 takes its two row sums from ``np.einsum`` instead — the
-        sum of squares without a squared copy, and less per-call work
-        than ``add.reduce`` over a short last axis.  Both sum each row
-        in an order fixed by ``D`` alone, so a row normalizes to the
-        same bits in any chunk.  A BLAS ``x @ ones`` row sum is faster
-        still but not row-invariant (see the module docstring).
+        The steps of :func:`repro.nn.functional.layer_norm` (mean,
+        centered, mean square, ``1.0 / sqrt(var+eps)``, scale, shift).
+        The two row sums come from ``np.einsum`` — the sum of squares
+        without a squared copy, and less per-call work than
+        ``add.reduce`` over a short last axis — and each is divided by
+        an ``intp`` count as ``np.mean`` does.  Each row is summed in an
+        order fixed by ``D`` alone, so a row normalizes to the same bits
+        in any chunk.  A BLAS ``x @ ones`` row sum is faster still but
+        not row-invariant (see the module docstring).  *src* is
+        clobbered; *out* may alias *src*.
         """
         mu, var = buf["mu"], buf["var"]
         count = np.intp(src.shape[-1])
-        if self.dtype is np.float32:
-            np.einsum("...d->...", src, out=mu[..., 0])
-            np.true_divide(mu, count, out=mu, casting="unsafe")
-            np.subtract(src, mu, out=src)
-            np.einsum("...d,...d->...", src, src, out=var[..., 0])
-        else:
-            sq = buf["sq"]
-            np.add.reduce(src, axis=-1, keepdims=True, out=mu)
-            np.true_divide(mu, count, out=mu, casting="unsafe")
-            np.subtract(src, mu, out=src)
-            np.power(src, 2, out=sq)
-            np.add.reduce(sq, axis=-1, keepdims=True, out=var)
+        np.einsum("...d->...", src, out=mu[..., 0])
+        np.true_divide(mu, count, out=mu, casting="unsafe")
+        np.subtract(src, mu, out=src)
+        np.einsum("...d,...d->...", src, src, out=var[..., 0])
         np.true_divide(var, count, out=var, casting="unsafe")
         np.add(var, eps, out=var)
         np.sqrt(var, out=var)
@@ -454,15 +383,8 @@ class InferencePlan:
         """Fused self-attention: QKV projection, one in-place masked
         softmax kernel, one context GEMM, one output GEMM.
 
-        The kernels differ by precision.  float64 issues the tape's
-        exact batched ``(B, T, D) @ (D, D)`` matmuls and its
-        ``(B, H, queries, keys)`` softmax — BLAS selects its
-        micro-kernel (and therefore its summation grouping) from the
-        call shape, so a fused or flattened GEMM can differ in the last
-        bit at thin shapes.
-
-        float32 takes the fused ``(B*T, D) @ (D, 3D)`` single-GEMM form
-        and stores its scores keys-outermost, ``(keys, B, H, queries)``:
+        The projection is one ``(B*T, D) @ (D, 3D)`` GEMM, and the kernel
+        stores its scores keys-outermost, ``(keys, B, H, queries)``:
         the score GEMM writes there through a transposed ``out=`` view,
         so the softmax's max and sum reduce over axis 0 of a contiguous
         2-D view — one vector pass per key, instead of a reduction
@@ -474,35 +396,6 @@ class InferencePlan:
         """
         d, h, dh = self.hidden_size, self.n_heads, self.head_dim
         merge = buf["merge"]
-        if self.dtype is np.float64:
-            x3 = buf["x"]
-            q3, k3, v3 = buf["q3"], buf["k3"], buf["v3"]
-            np.matmul(x3, layer.wq, out=q3)
-            np.add(q3, layer.bq, out=q3)
-            np.matmul(x3, layer.wk, out=k3)
-            np.add(k3, layer.bk, out=k3)
-            np.matmul(x3, layer.wv, out=v3)
-            np.add(v3, layer.bv, out=v3)
-            q = q3.reshape(batch, seq, h, dh).transpose(0, 2, 1, 3)
-            k = k3.reshape(batch, seq, h, dh).transpose(0, 2, 1, 3)
-            v = v3.reshape(batch, seq, h, dh).transpose(0, 2, 1, 3)
-            scores, stat, ctx = buf["scores"], buf["stat"], buf["ctx"]
-            np.matmul(q, k.transpose(0, 1, 3, 2), out=scores)
-            np.multiply(scores, self.scale, out=scores)
-            if additive is not None:
-                np.add(scores, additive, out=scores)
-            # in-place numerically-stable softmax (the tape's F.softmax)
-            np.max(scores, axis=-1, keepdims=True, out=stat)
-            np.subtract(scores, stat, out=scores)
-            np.exp(scores, out=scores)
-            np.sum(scores, axis=-1, keepdims=True, out=stat)
-            np.divide(scores, stat, out=scores)
-            np.matmul(scores, v, out=ctx)
-            np.copyto(merge, ctx.transpose(0, 2, 1, 3))
-            attn3 = buf["attn"].reshape(batch, seq, d)
-            np.matmul(merge.reshape(batch, seq, d), layer.wo, out=attn3)
-            np.add(attn3, layer.bo, out=attn3)
-            return attn3
         qkv = buf["qkv"]
         np.matmul(buf["x"].reshape(batch * seq, d), layer.wqkv, out=qkv)
         np.add(qkv, layer.bqkv, out=qkv)
@@ -552,10 +445,7 @@ class InferencePlan:
         additive = None
         if attention_mask is not None:
             mask = np.asarray(attention_mask, dtype=bool)
-            if self.dtype is np.float64:
-                additive = buf["additive"]
-                np.copyto(additive, np.where(mask, 0.0, NEG_INF).reshape(additive.shape))
-            elif not mask.all():
+            if not mask.all():
                 # keys-outer, one value per (key, batch row); a chunk of
                 # full-length rows skips the add altogether
                 additive = buf["additive"]
@@ -566,44 +456,20 @@ class InferencePlan:
             np.add(x, attended, out=res)
             self._layer_norm(res, layer.attn_gamma, layer.attn_beta, layer.attn_eps, x, buf)
             ffh, gtmp, ff2 = buf["ffh"], buf["gtmp"], buf["ff2"]
-            if self.dtype is np.float64:
-                # the tape's batched (B, T, D) @ (D, I) call shape —
-                # see _attention for why the shape is load-bearing
-                np.matmul(x, layer.w_in, out=ffh.reshape(batch, seq, -1))
-            else:
-                np.matmul(x.reshape(batch * seq, self.hidden_size), layer.w_in, out=ffh)
+            np.matmul(x.reshape(batch * seq, self.hidden_size), layer.w_in, out=ffh)
             np.add(ffh, layer.b_in, out=ffh)
-            if self.dtype is np.float64:
-                # in-place tanh-approximation GELU (the tape's F.gelu):
-                # 0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 x^3)));
-                # x ** 3 dispatches to libm pow, which is not the
-                # double-rounded x*x*x — the tape pays the same call, so
-                # matching it is the price of bitwise parity
-                np.power(ffh, 3, out=gtmp)
-                np.multiply(gtmp, 0.044715, out=gtmp)
-                np.add(ffh, gtmp, out=gtmp)
-                np.multiply(gtmp, F._SQRT_2_OVER_PI, out=gtmp)
-                np.tanh(gtmp, out=gtmp)
-                np.add(gtmp, 1.0, out=gtmp)
-                np.multiply(ffh, 0.5, out=ffh)
-                np.multiply(ffh, gtmp, out=ffh)
-                np.matmul(
-                    ffh.reshape(batch, seq, -1),
-                    layer.w_out,
-                    out=ff2.reshape(batch, seq, self.hidden_size),
-                )
-            else:
-                # the same GELU factored as x * (1 + tanh(x * (c + c*a*x^2))),
-                # its 0.5 folded into w_out at compile: seven passes over
-                # the activations in place of nine, and no scalar pow
-                np.multiply(ffh, ffh, out=gtmp)
-                np.multiply(gtmp, _GELU_CA, out=gtmp)
-                np.add(gtmp, F._SQRT_2_OVER_PI, out=gtmp)
-                np.multiply(gtmp, ffh, out=gtmp)
-                np.tanh(gtmp, out=gtmp)
-                np.add(gtmp, 1.0, out=gtmp)
-                np.multiply(ffh, gtmp, out=ffh)
-                np.matmul(ffh, layer.w_out, out=ff2)
+            # the tape's tanh GELU, 0.5 * x * (1 + tanh(c * (x + a*x^3))),
+            # factored as x * (1 + tanh(x * (c + c*a*x^2))) with its 0.5
+            # folded into w_out at compile: seven passes over the
+            # activations in place of nine, and no scalar pow
+            np.multiply(ffh, ffh, out=gtmp)
+            np.multiply(gtmp, _GELU_CA, out=gtmp)
+            np.add(gtmp, F._SQRT_2_OVER_PI, out=gtmp)
+            np.multiply(gtmp, ffh, out=gtmp)
+            np.tanh(gtmp, out=gtmp)
+            np.add(gtmp, 1.0, out=gtmp)
+            np.multiply(ffh, gtmp, out=ffh)
+            np.matmul(ffh, layer.w_out, out=ff2)
             np.add(ff2, layer.b_out, out=ff2)
             np.add(x, ff2.reshape(batch, seq, self.hidden_size), out=res)
             self._layer_norm(res, layer.ffn_gamma, layer.ffn_beta, layer.ffn_eps, x, buf)
@@ -613,12 +479,9 @@ class InferencePlan:
     def pooled(self, ids, attention_mask, strategy: str = "mean") -> np.ndarray:
         """Pooled embeddings ``(B, D)`` — forward + the tape's pooling.
 
-        float64 mean pooling replicates :func:`repro.lm.pooling.mean_pool`'s
-        ``(B, 1, T) @ (B, T, D)`` matmul formulation (not a masked sum),
-        which is part of the bitwise contract; float32 sums the weighted
-        positions in order, which keeps a row's result independent of
-        its chunk.  The result is a view into plan scratch; copy before
-        the next call.
+        Mean pooling sums the weighted positions in order, which keeps a
+        row's result independent of its chunk.  The result is a view
+        into plan scratch; copy before the next call.
         """
         hidden = self.forward(ids, attention_mask)
         if strategy == "cls":
@@ -632,24 +495,20 @@ class InferencePlan:
         if (counts == 0).any():
             raise ValueError("attention_mask has rows with no valid positions")
         weights, pooled = buf["weights"], buf["pooled"]
-        if self.dtype is np.float64:
-            np.divide(mask, counts, out=weights)
-            np.matmul(weights[:, None, :], hidden, out=pooled)
-        else:
-            # a weighted sum in position order: a padded position adds
-            # an exact zero, so a row pools to the same bits at any
-            # width (a batched gemv's grouping follows the width)
-            np.divide(mask, counts, out=weights[..., 0], casting="same_kind")
-            terms = buf["res"]
-            np.multiply(hidden, weights, out=terms)
-            np.add.reduce(terms, axis=1, keepdims=True, out=pooled)
+        # a weighted sum in position order: a padded position adds an
+        # exact zero, so a row pools to the same bits at any width (a
+        # batched gemv's grouping follows the width)
+        np.divide(mask, counts, out=weights[..., 0], casting="same_kind")
+        terms = buf["res"]
+        np.multiply(hidden, weights, out=terms)
+        np.add.reduce(terms, axis=1, keepdims=True, out=pooled)
         return pooled.reshape(batch, d)
 
     # -- observability -----------------------------------------------------
 
     def describe(self) -> str:
-        """Short human-readable identity, e.g. ``plan(float64, 2x32d)``."""
+        """Short human-readable identity, e.g. ``plan(float32, 2x32d, heads=4)``."""
         return (
-            f"plan({self.precision}, {len(self.layers)}x{self.hidden_size}d, "
+            f"plan({np.dtype(self.dtype).name}, {len(self.layers)}x{self.hidden_size}d, "
             f"heads={self.n_heads})"
         )

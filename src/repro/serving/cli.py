@@ -108,18 +108,11 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--compiled",
         action=argparse.BooleanOptionalAction,
         default=None,
-        help="compile the model into a graph-free inference plan for the "
-        "scoring hot path (fused QKV, preallocated scratch, no autograd "
-        "tape); falls back to the Tensor path automatically when the "
-        "model cannot be compiled (default on)",
-    )
-    parser.add_argument(
-        "--precision",
-        choices=("float64", "float32"),
-        default=None,
-        help="compiled-plan arithmetic: float32 scores within ~1e-6 of the "
-        "Tensor path with the same verdicts, several-fold faster; float64 "
-        "scores bitwise-identically to the Tensor path (default float32)",
+        help="compile the model into a graph-free float32 inference plan for "
+        "the scoring hot path (scores within ~1e-6 of the Tensor path, same "
+        "verdicts); falls back to the Tensor path automatically when the "
+        "model cannot be compiled (default on).  --no-compiled serves the "
+        "bit-exact float64 Tensor path",
     )
     parser.add_argument(
         "--max-batch", type=int, default=None, help="micro-batch flush size (default 32)"
@@ -285,7 +278,6 @@ def resolve_config(args: argparse.Namespace) -> ServingConfig:
             kind=args.backend,
             workers=args.workers,
             compiled=args.compiled,
-            precision=args.precision,
         ),
         canonicalize=override(base.canonicalize, enabled=args.canonicalize),
         shards=override(base.shards, count=args.shards),

@@ -276,23 +276,18 @@ class BackendConfig:
     exactly one lane, so it takes ``workers = 1`` only;
     ``kind = "threaded"`` shards each batch across ``workers`` threads.
 
-    ``compiled`` routes model forwards through a graph-free
+    ``compiled`` routes model forwards through a graph-free float32
     :class:`~repro.nn.inference.InferencePlan` (prepacked weights,
-    reused scratch buffers, no autograd tape).  Default on; models the
-    compiler doesn't cover fall back to the Tensor path automatically,
-    and ``compiled = false`` is byte-identical to the pre-compilation
-    pipeline.  ``precision`` selects the plan's arithmetic:
-    ``"float32"`` (default) scores within ~1e-6 of the Tensor path with
-    the same verdicts at several-fold the throughput; ``"float64"`` is
-    the opt-in bitwise mode, identical to the Tensor path bit for bit.
-    This field is the one place the serving default is spelled out —
-    the ``precision=`` keyword of :class:`DetectionServer` reads it.
+    reused scratch buffers, no autograd tape), which scores within
+    ~1e-6 of the Tensor path with the same verdicts at several-fold the
+    throughput.  Default on; models the compiler doesn't cover fall
+    back to the Tensor path automatically.  ``compiled = false`` serves
+    the float64 Tensor path itself, the bit-exact reference.
     """
 
     kind: str = "inline"
     workers: int = 1
     compiled: bool = True
-    precision: str = "float32"
 
     def __post_init__(self):
         _as_choice(self.kind, "backend.kind", BACKEND_KINDS)
@@ -303,14 +298,11 @@ class BackendConfig:
                 "(kind 'inline' scores on the event loop: one lane)"
             )
         _as_bool(self.compiled, "backend.compiled")
-        from repro.nn.inference import PRECISIONS
-
-        _as_choice(self.precision, "backend.precision", PRECISIONS)
 
     @classmethod
     def from_dict(cls, data: Any, path: str = "backend") -> "BackendConfig":
         data = _require_mapping(data, path)
-        _reject_unknown_keys(data, ("kind", "workers", "compiled", "precision"), path)
+        _reject_unknown_keys(data, ("kind", "workers", "compiled"), path)
         return cls(**data)
 
     def to_dict(self) -> dict:
@@ -318,7 +310,6 @@ class BackendConfig:
             "kind": self.kind,
             "workers": self.workers,
             "compiled": self.compiled,
-            "precision": self.precision,
         }
 
 

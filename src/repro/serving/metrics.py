@@ -44,6 +44,7 @@ class ServingMetrics:
         "cache_admission_rejections",
         "front_memo_hits",
         "front_memo_misses",
+        "front_errors",
         "canonicalized",
         "canonicalize_failures",
         "canonicalize_truncated",
@@ -78,6 +79,10 @@ class ServingMetrics:
         #: normalized line seen before.
         self.front_memo_hits = 0
         self.front_memo_misses = 0
+        #: Events whose front end (preprocess or canonicalize) raised:
+        #: each was scored on its normalized text, or dropped when that
+        #: is empty, and its batch went on.
+        self.front_errors = 0
         #: Canonicalization stage accounting: lines rewritten to a
         #: different canonical form, parse-failure fallbacks (split into
         #: truncation-attributable vs. genuinely unparseable), and
@@ -323,6 +328,7 @@ class ServingMetrics:
             "front_memo_hits": self.front_memo_hits,
             "front_memo_misses": self.front_memo_misses,
             "front_memo_hit_rate": round(self.front_memo_hit_rate, 4),
+            "front_errors": self.front_errors,
             "canonicalized": self.canonicalized,
             "canonicalize_failures": self.canonicalize_failures,
             "canonicalize_truncated": self.canonicalize_truncated,

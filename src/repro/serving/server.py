@@ -228,18 +228,16 @@ class DetectionServer:
         columnar: bool = True,
         canonicalize: CanonicalizeConfig | None = None,
         compiled: bool = True,
-        precision: str = BackendConfig.precision,
     ):
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        #: Whether scoring should run through a compiled
-        #: inference plan (``compiled = false`` is byte-identical to the
-        #: pre-compilation pipeline; models the compiler doesn't cover
-        #: fall back with a warning).
+        #: Whether scoring should run through the compiled float32
+        #: inference plan (``compiled = false`` serves the bit-exact
+        #: float64 tape; models the compiler doesn't cover fall back to
+        #: the tape with a warning).
         self.compiled = bool(compiled)
-        self.precision = precision
         if self.compiled and hasattr(service, "compile_inference"):
-            service.compile_inference(precision)
+            service.compile_inference()
         backend = backend or InlineBackend(service)
         if isinstance(sinks, DeliveryPipeline):
             pipeline = sinks
@@ -418,7 +416,6 @@ class DetectionServer:
             columnar=config.batch.columnar,
             canonicalize=config.canonicalize,
             compiled=config.backend.compiled,
-            precision=config.backend.precision,
         )
         server.config = config
         if record:
@@ -572,7 +569,7 @@ class DetectionServer:
                 # deserialize off-loop: scoring with the old model continues
                 service = await asyncio.to_thread(IntrusionDetectionService.load, bundle_dir)
             if self.compiled and hasattr(service, "compile_inference"):
-                await asyncio.to_thread(service.compile_inference, self.precision)
+                await asyncio.to_thread(service.compile_inference)
             # a sequence-mode server must never rotate onto a bundle that
             # lost its second stage — fail before touching the backend
             _require_sequence_head(self.session_policy.mode, service)

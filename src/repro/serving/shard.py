@@ -346,21 +346,35 @@ class ShardRuntime:
 
         ``service.preprocess`` runs for every event; a memo miss hands
         its validity AST to the canonicalizer, so the line is parsed
-        once.
+        once.  An exception from either stage is this event's outcome
+        alone (:meth:`_front_failed`), never its batch's.
         """
         service = self._ctx.service
-        if self.canonicalizer is None:
-            return service.preprocess(raw)
-        front = service.preprocess(raw, with_ast=True)
-        return None if front is None else self._canonical(*front)
+        try:
+            if self.canonicalizer is None:
+                return service.preprocess(raw)
+            front = service.preprocess(raw, with_ast=True)
+            return None if front is None else self._canonical(*front)
+        except Exception:
+            return self._front_failed(raw)
 
-    def _validated(self, raw: str) -> tuple[str, CommandList | None] | None:
-        """``service.preprocess(raw, with_ast=True)``, keeping the AST
-        only while the memo lacks the line — a hit drops it at once."""
-        front = self._ctx.service.preprocess(raw, with_ast=True)
-        if front is not None and front[0] in self.front_memo:
-            return front[0], None
-        return front
+    def _front_failed(self, raw: str) -> str | None:
+        """The cache key of a line whose front end raised.
+
+        Counted in ``front_errors``.  The line is scored on its
+        normalized text, skipping validation and canonicalization, or
+        dropped when that is empty — a line nested past the parser's
+        recursion limit still gets a verdict, and the events batched
+        with it keep theirs.
+        """
+        self.metrics.front_errors += 1
+        normalizer = getattr(self._ctx.service, "normalizer", None)
+        if normalizer is None:
+            return None
+        try:
+            return normalizer(raw) or None
+        except Exception:
+            return None
 
     def _canonical(self, normalized: str, ast: CommandList | None = None) -> str:
         """Canonicalize one normalized line, accounting the outcome.
@@ -527,12 +541,7 @@ class ShardRuntime:
         if n == 0:
             return []
         event_ids = [ctx.next_event_id() for _ in range(n)]
-        if self.canonicalizer is None:
-            normalized = [ctx.service.preprocess(line) for line, _, _ in events]
-        else:
-            fronts = [self._validated(line) for line, _, _ in events]
-            normalized = [None if front is None else self._canonical(*front) for front in fronts]
-            del fronts  # the rewritten ASTs are spent
+        normalized = [self._front(line) for line, _, _ in events]
 
         # one cache sweep; misses collected for a single scoring call
         scores = [0.0] * n

@@ -60,7 +60,7 @@ def _chunk_shapes(monkeypatch, embed, target, method) -> list[tuple[int, int]]:
 @pytest.fixture(scope="module")
 def service():
     service = build_demo_service()
-    assert service.compile_inference("float32")
+    assert service.compile_inference()
     return service
 
 

@@ -1,12 +1,14 @@
-"""Property tests for the compiled inference plan (bitwise parity).
+"""Property tests for the compiled float32 inference plan.
 
-The float64 contract is the whole point of :class:`InferencePlan`: a
-compiled forward must produce *the same bits* as the Tensor-tape path
-under ``no_grad`` — not "close", identical — across model geometries,
-sequence lengths, and padding masks.  Hypothesis drives the geometry;
-``np.array_equal`` (no tolerance) checks the contract.  float32 is the
-explicitly-tolerance-mode precision and is tested against an error
-bound instead.
+:class:`InferencePlan` has two contracts, both checked across model
+geometries, sequence lengths and padding masks that hypothesis draws:
+
+- **tolerance** — its forward and pooled outputs stay within a float32
+  error bound of the float64 Tensor-tape path under ``no_grad`` (the
+  tape is the bit-exact reference);
+- **bitwise stability** — a row pools to the same bits in any chunk,
+  and a result does not depend on what the scratch arena served before
+  (``tobytes``/``np.array_equal``, no tolerance).
 """
 
 import threading
@@ -64,10 +66,15 @@ geometry = st.tuples(
 )
 
 
-class TestFloat64Bitwise:
+def fresh_forward(model, ids, mask):
+    """The forward of a plan whose arena has served nothing else."""
+    return InferencePlan.compile(model).forward(ids, mask).copy()
+
+
+class TestFloat32Tolerance:
     @given(geometry, st.booleans())
     @settings(max_examples=25, deadline=None)
-    def test_forward_bitwise_equals_tape(self, geom, use_mask):
+    def test_forward_within_tolerance(self, geom, use_mask):
         heads, head_dim, layers, batch, seq, seed = geom
         model = build_model(
             n_heads=heads, head_dim=head_dim, n_layers=layers, seed=seed % 1000
@@ -78,41 +85,9 @@ class TestFloat64Bitwise:
         got = plan.forward(ids, mask if use_mask else None)
         with no_grad(model):
             want = model(ids, mask if use_mask else None).data
-        assert got.dtype == want.dtype == np.float64
-        assert np.array_equal(got, want)
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, want, atol=1e-4, rtol=1e-3)
 
-    @given(geometry, st.sampled_from(["mean", "cls"]))
-    @settings(max_examples=25, deadline=None)
-    def test_pooled_bitwise_equals_tape(self, geom, strategy):
-        heads, head_dim, layers, batch, seq, seed = geom
-        model = build_model(
-            n_heads=heads, head_dim=head_dim, n_layers=layers, seed=seed % 1000
-        )
-        rng = np.random.default_rng(seed)
-        ids, mask = random_batch(model, batch, seq, rng)
-        plan = InferencePlan.compile(model)
-        got = plan.pooled(ids, mask, strategy).copy()
-        with no_grad(model):
-            want = pool(model(ids, mask), mask, strategy).data
-        assert np.array_equal(got, want)
-
-    def test_repeat_calls_reuse_scratch_and_stay_bitwise(self):
-        model = build_model()
-        plan = InferencePlan.compile(model)
-        rng = np.random.default_rng(7)
-        sizes = []
-        for _ in range(3):
-            ids, mask = random_batch(model, 3, 9, rng)
-            got = plan.forward(ids, mask).copy()
-            sizes.append(plan.scratch_nbytes)
-            with no_grad(model):
-                want = model(ids, mask).data
-            assert np.array_equal(got, want)
-        assert sizes[0] > 0 and sizes == [sizes[0]] * 3  # one arena, reused
-        assert plan.calls == 3
-
-
-class TestFloat32Tolerance:
     @given(geometry)
     @settings(max_examples=15, deadline=None)
     def test_pooled_within_tolerance(self, geom):
@@ -122,7 +97,7 @@ class TestFloat32Tolerance:
         )
         rng = np.random.default_rng(seed)
         ids, mask = random_batch(model, batch, seq, rng)
-        plan = InferencePlan.compile(model, precision="float32")
+        plan = InferencePlan.compile(model)
         got = plan.pooled(ids, mask).copy()
         assert got.dtype == np.float32
         with no_grad(model):
@@ -165,7 +140,7 @@ class TestFloat32RowInvariance:
             max_position=max_position,
             seed=seed % 1000,
         )
-        plan = InferencePlan.compile(model, precision="float32")
+        plan = InferencePlan.compile(model)
         rng = np.random.default_rng(seed)
         length = data.draw(st.integers(min_value=2, max_value=max_position), "length")
         row = rng.integers(0, model.config.vocab_size, size=length)
@@ -215,8 +190,10 @@ class TestCompileSurface:
             InferencePlan.compile(model)
 
     def test_rejects_unknown_precision(self):
-        with pytest.raises(ValueError, match="precision"):
-            InferencePlan.compile(build_model(), precision="float16")
+        # one compiled precision: the tape is the float64 path
+        for precision in ("float64", "float32"):
+            with pytest.raises(TypeError, match="precision"):
+                InferencePlan.compile(build_model(), precision=precision)
 
     def test_forward_validates_shape_and_ids(self):
         plan = InferencePlan.compile(build_model(max_position=8))
@@ -228,7 +205,7 @@ class TestCompileSurface:
             plan.forward(np.full((1, 4), 10_000, dtype=np.int64))
 
     def test_describe_names_precision_and_geometry(self):
-        plan = InferencePlan.compile(build_model(), precision="float32")
+        plan = InferencePlan.compile(build_model())
         assert "float32" in plan.describe()
         assert "2x16d" in plan.describe()
 
@@ -236,13 +213,12 @@ class TestCompileSurface:
 class TestScratchArena:
     """One grow-only arena per thread, bounded in bytes by the largest shape."""
 
-    @pytest.mark.parametrize("precision", ["float64", "float32"])
-    def test_arena_is_bounded_by_twice_the_largest_shape(self, precision):
+    def test_arena_is_bounded_by_twice_the_largest_shape(self):
         model = build_model(max_position=12)
-        largest = InferencePlan.compile(model, precision)
+        largest = InferencePlan.compile(model)
         largest.pooled(np.zeros((8, 12), dtype=np.int64), np.ones((8, 12), dtype=bool))
         need = largest.scratch_nbytes
-        plan = InferencePlan.compile(model, precision)
+        plan = InferencePlan.compile(model)
         assert plan.scratch_nbytes == 0
         shapes = [(b, t) for b in range(1, 9) for t in range(1, 13)]
         np.random.default_rng(0).shuffle(shapes)
@@ -254,7 +230,20 @@ class TestScratchArena:
             plan.pooled(np.zeros((b, t), dtype=np.int64), np.ones((b, t), dtype=bool))
         assert plan.scratch_nbytes == grown
 
-    def test_float64_stays_bitwise_across_regrows(self):
+    def test_repeat_calls_reuse_scratch_and_stay_bitwise(self):
+        model = build_model()
+        plan = InferencePlan.compile(model)
+        rng = np.random.default_rng(7)
+        sizes = []
+        for _ in range(3):
+            ids, mask = random_batch(model, 3, 9, rng)
+            got = plan.forward(ids, mask).copy()
+            sizes.append(plan.scratch_nbytes)
+            assert np.array_equal(got, fresh_forward(model, ids, mask))
+        assert sizes[0] > 0 and sizes == [sizes[0]] * 3  # one arena, reused
+        assert plan.calls == 3
+
+    def test_views_stay_bitwise_across_regrows(self):
         model = build_model(max_position=16)
         plan = InferencePlan.compile(model)
         rng = np.random.default_rng(3)
@@ -262,8 +251,7 @@ class TestScratchArena:
         for batch, seq in [(1, 2), (2, 3), (4, 16), (1, 5), (3, 9), (4, 16), (1, 1)]:
             ids, mask = random_batch(model, batch, seq, rng)
             got = plan.forward(ids, mask)
-            with no_grad(model):
-                want = model(ids, mask).data
+            want = fresh_forward(model, ids, mask)
             assert np.array_equal(got, want)
             held.append((got, want))
         # a view taken before a regrow still reads its own result

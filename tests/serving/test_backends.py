@@ -207,16 +207,15 @@ class TestBackendEquivalence:
     Events are submitted sequentially (concurrency=1), so every
     micro-batch is a singleton and the scores are **bitwise** equal —
     the encoder's length-bucketing cannot reorder anything.  The servers
-    run the float64 plan, so a concurrent batch composition moves scores
-    by ulps only.
+    run the float32 plan, whose rows pool to the same bits in any
+    chunk, so a concurrent batch composition moves scores by ulps of
+    the float64 head at most.
     """
 
     EVENTS = (DEMO_BENIGN + DEMO_MALICIOUS) * 2
 
     def _stream(self, service, backend):
-        server = DetectionServer(
-            service, backend=backend, max_latency_ms=5, precision="float64"
-        )
+        server = DetectionServer(service, backend=backend, max_latency_ms=5)
         results, server = serve_stream(
             service, list(self.EVENTS), concurrency=1, server=server
         )
@@ -251,13 +250,11 @@ class TestBackendEquivalence:
             list(self.EVENTS),
             concurrency=4,
             max_latency_ms=10,
-            precision="float64",
         )
         server = DetectionServer(
             demo_service,
             backend=ThreadedBackend(demo_service, workers=THREADED_WORKERS, min_shard=1),
             max_latency_ms=10,
-            precision="float64",
         )
         threaded_results, _ = serve_stream(
             demo_service, list(self.EVENTS), concurrency=4, server=server

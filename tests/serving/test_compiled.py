@@ -3,9 +3,12 @@
 The contract under test, layer by layer:
 
 - ``compiled=false`` leaves the pipeline byte-identical to the plain
-  Tensor path (no extra forwards, no plan on the service);
-- ``compiled=true`` at float64 produces bitwise-identical scores and
-  verdicts while the service reports ``inference_compiled``;
+  float64 Tensor path (no extra forwards, no plan on the service);
+- ``compiled=true`` serves the float32 plan: the tape's verdicts, and
+  scores bitwise-equal to the same plan offline, while the service
+  reports ``inference_compiled``;
+- the plan has one precision: ``precision`` is no longer a key, a flag
+  or a keyword, and each names what is valid instead;
 - a hot swap can never serve a stale plan — the incoming service is
   compiled before rotation, whether it arrives as a service or as a
   bundle directory;
@@ -45,25 +48,31 @@ class TestServiceCompilation:
     def test_compile_routes_scoring_bitwise(self, demo_bundle):
         service = fresh_service(demo_bundle)
         lines = [service.preprocess(line) for line in STREAM]
-        baseline = np.asarray(service.score_normalized(lines))
         assert service.compile_inference() is True
         assert service.inference_compiled
-        assert service.inference_precision == "float64"
+        plan = service.encoder.inference_plan
         compiled = np.asarray(service.score_normalized(lines))
-        assert np.array_equal(baseline, compiled)
+        assert plan.calls >= 1
+        # the scores are the head over the plan's own float32 embeddings
+        embeddings = service.encoder.embed(lines)
+        assert embeddings.dtype == np.float32
+        assert np.array_equal(compiled, service.tuner.score_embeddings(embeddings))
 
     def test_reset_returns_to_tape(self, demo_bundle):
         service = fresh_service(demo_bundle)
+        lines = [service.preprocess(line) for line in STREAM]
+        tape = np.asarray(service.score_normalized(lines))
         service.compile_inference()
         service.reset_inference()
         assert not service.inference_compiled
-        assert service.inference_precision is None
+        assert service.encoder.inference_plan is None
+        assert np.array_equal(np.asarray(service.score_normalized(lines)), tape)
 
     def test_float32_verdict_parity(self, demo_bundle):
         service = fresh_service(demo_bundle)
         lines = [service.preprocess(line) for line in STREAM]
         baseline = np.asarray(service.score_normalized(lines))
-        assert service.compile_inference(precision="float32") is True
+        assert service.compile_inference() is True
         compiled = np.asarray(service.score_normalized(lines))
         np.testing.assert_allclose(compiled, baseline, atol=1e-4)
         assert np.array_equal(
@@ -84,13 +93,12 @@ class TestServiceCompilation:
 
 
 class TestServerIntegration:
-    def _scores(self, service, *, compiled, precision="float64"):
+    def _scores(self, service, *, compiled):
         results, server = serve_stream(
             service,
             STREAM,
             max_latency_ms=5,
             compiled=compiled,
-            precision=precision,
         )
         by_line = {r.raw_line: r.score for r in results}
         return np.array([by_line[line] for line in STREAM]), server
@@ -101,13 +109,25 @@ class TestServerIntegration:
         assert np.array_equal(plain, baseline)
         assert server.metrics.compiled_batches == 0
 
-    def test_compiled_float64_verdicts_bitwise(self, demo_bundle):
-        plain, _ = self._scores(fresh_service(demo_bundle), compiled=False)
+    def test_compiled_scores_bitwise_offline(self, demo_bundle):
+        offline = fresh_service(demo_bundle)
+        lines = [offline.preprocess(line) for line in STREAM]
+        tape = np.asarray(offline.score_normalized(lines))
+        assert offline.compile_inference() is True
+        planned = np.asarray(offline.score_normalized(lines))
         compiled, server = self._scores(fresh_service(demo_bundle), compiled=True)
-        assert np.array_equal(plain, compiled)
+        # served in micro-batches, scored in one call offline: row invariance
+        assert compiled.tobytes() == planned.tobytes()
+        assert np.array_equal(
+            compiled >= offline.threshold, tape >= offline.threshold
+        )
         assert server.metrics.compiled_batches > 0
         assert server.metrics.model_batches > 0
         assert server.metrics.model_ms_total > 0.0
+
+    def test_server_takes_no_precision(self, demo_bundle):
+        with pytest.raises(TypeError, match="precision"):
+            DetectionServer(fresh_service(demo_bundle), precision="float64")
 
     def test_stub_without_compile_surface_serves_plainly(self, stub_service):
         results, server = serve_stream(
@@ -244,7 +264,7 @@ class TestServedDefault:
 
         events = _default_oracle_events()
         server = DetectionServer.from_config(two_stage_bundle, ServingConfig(), record=False)
-        assert server.service.inference_precision == "float32"
+        assert server.service.encoder.inference_plan.dtype == np.float32
         results = _serve(server, events)
 
         tape = IntrusionDetectionService.load(two_stage_bundle)
@@ -259,37 +279,60 @@ class TestServedDefault:
                 assert result.is_intrusion == flagged[key], key
 
     def test_float64_backend_still_serves_tape_bitwise(self, two_stage_bundle):
+        """``compiled = false`` is the bit-exact float64 backend."""
+        from repro.ids.pipeline import IntrusionDetectionService
+
         events = _default_oracle_events()
-        f64 = DetectionServer.from_config(
-            two_stage_bundle,
-            ServingConfig(backend=BackendConfig(precision="float64")),
-            record=False,
-        )
-        assert f64.service.inference_precision == "float64"
         plain = DetectionServer.from_config(
             two_stage_bundle,
             ServingConfig(backend=BackendConfig(compiled=False)),
             record=False,
         )
-        compiled = np.array([result.score for result in _serve(f64, events)], dtype=float)
-        taped = np.array([result.score for result in _serve(plain, events)], dtype=float)
-        assert compiled.tobytes() == taped.tobytes()
+        assert not plain.service.inference_compiled
+        results = _serve(plain, events)
+
+        # the tape's bits follow its chunks, so the offline side scores
+        # the batches the server scored: each submit_many chunk's
+        # not-yet-cached lines, deduplicated in order, in one call
+        tape = IntrusionDetectionService.load(two_stage_bundle)
+        keys = [tape.preprocess(event.line) for event in events]
+        offline: dict[str, float] = {}
+        for start in range(0, len(keys), 256):
+            misses = [key for key in keys[start : start + 256] if key is not None]
+            misses = [key for key in dict.fromkeys(misses) if key not in offline]
+            if misses:
+                scores = tape.score_batch(tape.encode_batch(misses))
+                offline.update(zip(misses, (float(score) for score in scores)))
+        served = np.array(
+            [result.score for result, key in zip(results, keys) if key is not None], dtype=float
+        )
+        wanted = np.array([offline[key] for key in keys if key is not None], dtype=float)
+        assert len(offline) > 300
+        assert served.tobytes() == wanted.tobytes()
 
 
 class TestBackendConfig:
     def test_defaults(self):
         config = BackendConfig()
         assert config.compiled is True
-        assert config.precision == "float32"
+        assert config.to_dict() == {"kind": "inline", "workers": 1, "compiled": True}
 
     def test_round_trip(self):
-        config = BackendConfig(compiled=False, precision="float64")
+        config = BackendConfig(compiled=False)
         again = BackendConfig.from_dict(config.to_dict())
         assert again == config
 
     def test_rejects_unknown_precision(self):
-        with pytest.raises(ConfigError, match="backend.precision"):
-            BackendConfig(precision="bfloat16")
+        # the plan has one precision; the key is gone, for every value
+        for value in ("float32", "float64"):
+            with pytest.raises(ConfigError) as excinfo:
+                ServingConfig.from_dict({"backend": {"precision": value}})
+            assert (
+                "backend: unknown key 'precision' (valid keys: kind, workers, compiled)"
+                in str(excinfo.value)
+            )
+        with pytest.raises(TypeError, match="precision"):
+            BackendConfig(precision="float32")
 
     def test_rejects_non_bool_compiled(self):
         with pytest.raises(ConfigError, match="backend.compiled"):
@@ -298,10 +341,10 @@ class TestBackendConfig:
     def test_serving_config_json_round_trip(self):
         import json
 
-        config = ServingConfig(backend=BackendConfig(compiled=False, precision="float32"))
+        config = ServingConfig(backend=BackendConfig(compiled=False))
         again = ServingConfig.from_dict(json.loads(config.to_json()))
         assert again.backend.compiled is False
-        assert again.backend.precision == "float32"
+        assert again == config
 
 
 class TestCliFlags:
@@ -315,9 +358,15 @@ class TestCliFlags:
         config = self._resolve("--no-compiled")
         assert config.backend.compiled is False
 
-    def test_precision_flag(self):
-        config = self._resolve("--precision", "float64")
-        assert config.backend.precision == "float64"
+    def test_precision_flag(self, capsys):
+        # removed with the float64 plan: argparse refuses it and its
+        # usage line names the flags that exist
+        with pytest.raises(SystemExit) as excinfo:
+            self._resolve("--precision", "float64")
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --precision float64" in err
+        assert "--compiled" in err
 
     def test_flags_reach_server(self, demo_bundle):
         service = fresh_service(demo_bundle)

@@ -223,8 +223,9 @@ class TestSwapWithRealBundles:
         assert (bundle / "service.json").exists()
 
         async def scenario():
+            # the tape on both sides: the exported service is not compiled
             async with DetectionServer(
-                demo_service, max_latency_ms=5, precision="float64"
+                demo_service, max_latency_ms=5, compiled=False
             ) as server:
                 report = await server.swap_model(str(bundle))
                 result = await server.submit("nc -lvnp 4444")

@@ -1,14 +1,13 @@
 """Benchmarks: streaming throughput (cold vs. warm cache, shard-router
 pipelining, columnar batches, canonicalization, sequence escalation,
-compiled inference), cache-admission hit rates, and hot-swap latency.
+compiled inference) and hot-swap latency.
 
 Throughput ratios are *recorded* (printed, in ``extra_info`` and in the
 serving snapshot), not asserted: a wall-clock ratio on a shared box
 says more about the neighbours than about the code, so it must not
 decide red or green.  What the tests do assert is behaviour — verdict
 and score parity between the paths they compare, scoring-call counts,
-zero event loss across a swap, and the TinyLFU gate's hit rate being
-at least plain LRU's on a Zipf-with-scan stream.
+and zero event loss across a swap.
 
 Real command telemetry is repeat-heavy (the SCADE observation the
 serving cache is built on), so the cold/warm bench streams a
@@ -31,9 +30,14 @@ import pytest
 from repro.experiments.methods import HEAD_EPOCHS, HEAD_LR, training_subset
 from repro.ids import IntrusionDetectionService
 from repro.serving import (
+    BatchConfig,
+    CacheConfig,
+    CanonicalizeConfig,
     CommandEvent,
     DetectionServer,
+    ServingConfig,
     SessionConfig,
+    ShardConfig,
     ThreadedBackend,
     serve_stream,
 )
@@ -41,6 +45,15 @@ from repro.tuning import ClassificationTuner
 
 UNIQUE_LINES = 150
 REPEATS = 8
+
+
+def _config(*, cache_size, max_batch, max_latency_ms, **sections) -> ServingConfig:
+    """A bench server's deployment: cache size and micro-batch policy."""
+    return ServingConfig(
+        batch=BatchConfig(max_batch=max_batch, max_latency_ms=max_latency_ms),
+        cache=CacheConfig(size=cache_size),
+        **sections,
+    )
 
 
 @pytest.fixture(autouse=True)
@@ -71,18 +84,20 @@ def _repeat_heavy_stream(world) -> list[str]:
 def test_bench_serving_cold_vs_warm(world, benchmark, serving_snapshot):
     service = _build_service(world)
     events = _repeat_heavy_stream(world)
-    server = DetectionServer(service, max_batch=32, max_latency_ms=25, cache_size=8192)
+    server = DetectionServer(
+        service, _config(max_batch=32, max_latency_ms=25, cache_size=8192)
+    )
 
     started = time.perf_counter()
-    cold_results, _ = serve_stream(service, events, concurrency=8, server=server)
+    cold_results = serve_stream(server, events, concurrency=8)
     cold_seconds = time.perf_counter() - started
     cold_eps = len(cold_results) / cold_seconds
 
     # same stream again on the same server: every line is now cached
-    warm_results, _ = benchmark.pedantic(
+    warm_results = benchmark.pedantic(
         serve_stream,
-        args=(service, events),
-        kwargs={"concurrency": 8, "server": server},
+        args=(server, events),
+        kwargs={"concurrency": 8},
         rounds=1,
         iterations=1,
     )
@@ -175,10 +190,7 @@ def test_bench_serving_swap_latency(world, benchmark, tmp_path_factory):
 
     def run_swap_under_load():
         server = DetectionServer(
-            service,
-            cache_size=4096,
-            max_batch=32,
-            max_latency_ms=10,
+            service, _config(cache_size=4096, max_batch=32, max_latency_ms=10)
         )
 
         async def scenario():
@@ -293,18 +305,16 @@ def test_bench_serving_sharded_router_throughput(benchmark, serving_snapshot, be
         # 16-line batch into 4-line slivers wastes encoder batch width),
         # so worker lanes parallelize *across* batches — which only the
         # shard router can produce
+        config = _config(
+            cache_size=0, max_batch=16, max_latency_ms=10, shards=ShardConfig(count=shards)
+        )
         server = DetectionServer(
-            service,
-            backend=ThreadedBackend(service, workers=4, min_shard=16),
-            shards=shards,
-            cache_size=0,
-            max_batch=16,
-            max_latency_ms=10,
+            service, config, backend=ThreadedBackend(service, workers=4, min_shard=16)
         )
         # enough in-flight producers that every shard can fill whole
         # batches (16 x 4 shards = 64 minimum; headroom beyond that)
         started = time.perf_counter()
-        results, server = serve_stream(service, events, concurrency=128, server=server)
+        results = serve_stream(server, events, concurrency=128)
         return results, server, time.perf_counter() - started
 
     single_results, _, single_seconds = run_layout(1)
@@ -420,14 +430,14 @@ def test_bench_serving_columnar_batch_speedup(
 
     per_event_service = _ColumnarFixedCostService()
     per_event_server = DetectionServer(
-        per_event_service, cache_size=0, max_batch=32, max_latency_ms=10
+        per_event_service, _config(cache_size=0, max_batch=32, max_latency_ms=10)
     )
     per_event_results, per_event_seconds = _timed_stream(per_event_server, events)
     per_event_eps = len(per_event_results) / per_event_seconds
 
     batch_service = _ColumnarFixedCostService()
     batch_server = DetectionServer(
-        batch_service, cache_size=0, max_batch=32, max_latency_ms=10
+        batch_service, _config(cache_size=0, max_batch=32, max_latency_ms=10)
     )
     batch_results, batch_seconds = benchmark.pedantic(
         _timed_batches, args=(batch_server, events), rounds=1, iterations=1
@@ -474,21 +484,19 @@ def test_bench_serving_canonicalize_overhead(benchmark, serving_snapshot, bench_
     The stage buys evasion resistance (see the scenario suite); this
     bench records what it costs in end-to-end throughput.
     """
-    from repro.serving import CanonicalizeConfig
-
     service = _FixedCostService(batch_cost_s=0.004)
     events = _multi_host_mostly_miss_stream()
 
     def run(canonicalize):
-        server = DetectionServer(
-            service,
+        config = _config(
             cache_size=0,
             max_batch=64,
             max_latency_ms=5,
-            canonicalize=CanonicalizeConfig(enabled=True) if canonicalize else None,
+            canonicalize=CanonicalizeConfig(enabled=canonicalize),
         )
+        server = DetectionServer(service, config)
         started = time.perf_counter()
-        results, server = serve_stream(service, events, concurrency=32, server=server)
+        results = serve_stream(server, events, concurrency=32)
         return results, server, time.perf_counter() - started
 
     off_results, _, off_seconds = run(False)
@@ -523,59 +531,6 @@ def test_bench_serving_canonicalize_overhead(benchmark, serving_snapshot, bench_
     bench_regression_gate("canonicalize", metrics)
 
 
-def test_bench_serving_zipf_admission_hit_rate(benchmark, serving_snapshot, bench_regression_gate):
-    """TinyLFU admission >= plain LRU hit rate on a Zipf-with-scan stream.
-
-    The stream follows the paper's repeat structure: a Zipf-popular hot
-    set (most traffic) interleaved with a long tail of one-off lines.
-    Under plain LRU the tail continually evicts the hot set from a
-    small cache; the frequency gate keeps the hot set resident.
-    """
-    rng = np.random.default_rng(0)
-    hot = rng.zipf(1.3, size=12_000) % 4_000
-    tail = rng.integers(100_000, 500_000, size=4_000)
-    mixed = np.concatenate([hot, tail])
-    rng.shuffle(mixed)
-    events = [
-        CommandEvent(f"cmd --variant {v}", host=f"host-{i % 32}")
-        for i, v in enumerate(mixed)
-    ]
-    service = _FixedCostService(batch_cost_s=0.0)
-
-    def run_policy(admission):
-        server = DetectionServer(
-            service,
-            cache_size=256,
-            cache_admission=admission,
-            max_batch=64,
-            max_latency_ms=5,
-        )
-        results, server = serve_stream(service, events, concurrency=16, server=server)
-        assert len(results) == len(events)
-        return server.metrics.cache_hit_rate
-
-    lru_rate = run_policy("lru")
-    tinylfu_rate = benchmark.pedantic(run_policy, args=("tinylfu",), rounds=1, iterations=1)
-
-    admission_metrics = {
-        "events": len(events),
-        "cache_size": 256,
-        "lru_hit_rate": round(lru_rate, 4),
-        "tinylfu_hit_rate": round(tinylfu_rate, 4),
-    }
-    benchmark.extra_info.update(admission_metrics)
-    serving_snapshot["zipf_admission"] = admission_metrics
-    print(
-        f"\nzipf admission: {len(events)} events | lru hit-rate {lru_rate:.2%} | "
-        f"tinylfu hit-rate {tinylfu_rate:.2%}"
-    )
-    assert tinylfu_rate >= lru_rate, (
-        f"frequency-aware admission must not lose to plain LRU on a Zipf "
-        f"stream: tinylfu {tinylfu_rate:.4f} < lru {lru_rate:.4f}"
-    )
-    bench_regression_gate("zipf_admission", admission_metrics)
-
-
 def test_bench_serving_sequence_escalation_overhead(world, benchmark):
     """Sequence escalation pays its second stage only on flagged events.
 
@@ -603,16 +558,20 @@ def test_bench_serving_sequence_escalation_overhead(world, benchmark):
         for position, i in enumerate(order)
     ]
 
-    count_server = DetectionServer(service, cache_size=0, max_batch=32, max_latency_ms=25)
+    count_server = DetectionServer(
+        service, _config(cache_size=0, max_batch=32, max_latency_ms=25)
+    )
     count_results, count_seconds = _timed_stream(count_server, events)
     count_eps = len(count_results) / count_seconds
 
     seq_server = DetectionServer(
         service,
-        cache_size=0,
-        max_batch=32,
-        max_latency_ms=25,
-        session=SessionConfig(mode="sequence"),
+        _config(
+            cache_size=0,
+            max_batch=32,
+            max_latency_ms=25,
+            session=SessionConfig(mode="sequence"),
+        ),
     )
     seq_results, seq_seconds = benchmark.pedantic(
         _timed_stream, args=(seq_server, events), rounds=1, iterations=1
@@ -667,7 +626,7 @@ def test_bench_serving_fleet_throughput(benchmark, serving_snapshot, bench_regre
         nodes = []
         for _ in range(n_nodes):
             server = DetectionServer(
-                service, max_batch=64, max_latency_ms=5, cache_size=0
+                service, _config(max_batch=64, max_latency_ms=5, cache_size=0)
             )
             node = FleetNode(server, port=0)
             await node.start()

@@ -25,10 +25,12 @@ import tempfile
 from pathlib import Path
 
 from repro.fleet import FleetConfig, FleetNode, FleetRouter
-from repro.serving import DetectionServer
+from repro.serving import BatchConfig, DetectionServer, ServingConfig
 from repro.serving.demo import DEMO_BENIGN, DEMO_MALICIOUS, build_demo_service
 
 TELEMETRY = DEMO_BENIGN * 3 + DEMO_MALICIOUS * 2
+#: Each server flushes micro-batches of 16 events, or after 10 ms.
+SERVING = ServingConfig(batch=BatchConfig(max_batch=16, max_latency_ms=10))
 N_NODES = 3
 N_HOSTS = 12
 
@@ -43,7 +45,7 @@ async def main() -> None:
 
     nodes: list[FleetNode] = []
     for _ in range(N_NODES):
-        server = DetectionServer(build_demo_service(), max_batch=16, max_latency_ms=10)
+        server = DetectionServer(build_demo_service(), SERVING)
         node = FleetNode(server, port=0)
         await node.start()
         nodes.append(node)

@@ -27,10 +27,12 @@ from repro.ids.commercial import CommercialIDS
 from repro.lm.continual import ContinualLearner
 from repro.loggen.dataset import CommandDataset
 from repro.loggen.entities import LogRecord
-from repro.serving import DetectionServer
+from repro.serving import BatchConfig, DetectionServer, ServingConfig
 from repro.serving.demo import DEMO_BENIGN, DEMO_MALICIOUS, build_demo_service
 
 WEEK_TELEMETRY = DEMO_BENIGN * 4 + DEMO_MALICIOUS * 3
+#: Each server flushes micro-batches of 16 events, or after 10 ms.
+SERVING = ServingConfig(batch=BatchConfig(max_batch=16, max_latency_ms=10))
 
 
 async def main() -> None:
@@ -42,7 +44,7 @@ async def main() -> None:
     service.save(bundle_v1)
     print(f"deployed bundle {bundle_v1.name} (fingerprint {service.fingerprint()})")
 
-    server = DetectionServer(service, max_batch=16, max_latency_ms=10)
+    server = DetectionServer(service, SERVING)
 
     stream = DEMO_BENIGN + DEMO_MALICIOUS
     results = []

@@ -32,7 +32,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.fleet import FleetConfig, FleetNode, FleetRouter, load_fleet_file  # noqa: E402
 from repro.fleet.cli import fleet_admin_main  # noqa: E402
-from repro.serving import DetectionServer  # noqa: E402
+from repro.serving import BatchConfig, DetectionServer, ServingConfig  # noqa: E402
 from repro.serving.demo import DEMO_BENIGN, DEMO_MALICIOUS, build_demo_service  # noqa: E402
 
 N_HOSTS = 10
@@ -54,7 +54,10 @@ async def run_fleet(workdir: Path) -> None:
     bundle_v2 = workdir / "bundle-v2"
     nodes = []
     for _ in range(2):
-        server = DetectionServer(build_demo_service(), max_batch=16, max_latency_ms=10)
+        server = DetectionServer(
+            build_demo_service(),
+            ServingConfig(batch=BatchConfig(max_batch=16, max_latency_ms=10)),
+        )
         node = FleetNode(server, port=0)
         await node.start()
         nodes.append(node)

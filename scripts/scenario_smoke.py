@@ -40,10 +40,12 @@ import numpy as np  # noqa: E402
 from repro.ids.pipeline import IntrusionDetectionService  # noqa: E402
 from repro.loggen import CampaignBuilder  # noqa: E402
 from repro.serving import (  # noqa: E402
+    BatchConfig,
     CanonicalizeConfig,
     CommandEvent,
     DetectionServer,
     ServingConfig,
+    ShardConfig,
     serve_stream,
 )
 from repro.serving.cli import serve_main  # noqa: E402
@@ -90,7 +92,7 @@ def main() -> int:
             for i, line in enumerate(DEMO_BENIGN)
         ]
         events.sort(key=lambda e: e.timestamp)
-        results, server = serve_stream(restored, events, concurrency=1, server=server)
+        results = serve_stream(server, events, concurrency=1)
         assert len(results) == len(events)
         assert server.sessions.escalated_hosts() == ["victim"], (
             "exactly the burst host must escalate: "
@@ -137,7 +139,7 @@ def main() -> int:
         sharded_config = ServingConfig.from_dict(
             {
                 "batch": {"max_batch": 8, "max_latency_ms": 10.0},
-                "cache": {"size": 1024, "admission": "tinylfu"},
+                "cache": {"size": 1024},
                 "shards": {"count": 2},
                 "backend": {"kind": "threaded", "workers": 2},
                 "sinks": ["ring://4096"],
@@ -148,9 +150,7 @@ def main() -> int:
             CommandEvent(line, host=f"node-{i % 8}", timestamp=float(i))
             for i, line in enumerate((DEMO_BENIGN + DEMO_MALICIOUS) * 4)
         ]
-        results, sharded = serve_stream(
-            restored, fleet_events, concurrency=8, server=sharded
-        )
+        results = serve_stream(sharded, fleet_events, concurrency=8)
         assert len(results) == len(fleet_events), (
             f"sharded server answered {len(results)}/{len(fleet_events)} events"
         )
@@ -204,13 +204,14 @@ def main() -> int:
         ]
         campaign_events.sort(key=lambda e: e.timestamp)
         recalls = {}
-        for label, canonicalize in (("raw", None), ("canonical", CanonicalizeConfig(enabled=True))):
-            server = DetectionServer(
-                signature_service, max_latency_ms=5, shards=2, canonicalize=canonicalize
+        for label, canonicalize in (("raw", False), ("canonical", True)):
+            config = ServingConfig(
+                batch=BatchConfig(max_latency_ms=5),
+                shards=ShardConfig(count=2),
+                canonicalize=CanonicalizeConfig(enabled=canonicalize),
             )
-            results, server = serve_stream(
-                signature_service, campaign_events, concurrency=1, server=server
-            )
+            server = DetectionServer(signature_service, config)
+            results = serve_stream(server, campaign_events, concurrency=1)
             caught = sum(
                 r.alert is not None for r in results if r.host == campaign.host
             )
@@ -219,7 +220,7 @@ def main() -> int:
             )
             assert false_alarms == 0, f"{label}: benign hosts must stay quiet"
             recalls[label] = caught / len(campaign.steps)
-            if canonicalize is not None:
+            if canonicalize:
                 assert server.metrics.canonicalized > 0
                 assert server.metrics.canonicalize_failures == 0
         assert recalls["canonical"] > recalls["raw"], (

@@ -5,7 +5,7 @@ The deployment is described by a declarative config
 
 1. ``--config serve.toml`` (TOML or JSON file), else the config
    recorded in the ``--bundle`` metadata, else built-in defaults;
-2. individual flags (``--max-batch``, ``--workers``, ``--cache-ttl``,
+2. individual flags (``--max-batch``, ``--workers``, ``--cache-size``,
    ...) override the corresponding config fields;
 3. ``--sink URI`` appends sinks (``ring://4096``,
    ``jsonl:///var/alerts.jsonl``, ``webhook://siem:8080/alerts``,
@@ -42,7 +42,6 @@ from collections.abc import Iterable, Iterator
 from typing import TextIO
 
 from repro.errors import ConfigError, ReproError
-from repro.serving.cache import ADMISSION_POLICIES
 from repro.serving.config import (
     BACKEND_KINDS,
     SESSION_MODES,
@@ -125,21 +124,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cache-size", type=int, default=None, help="LRU score-cache capacity (default 4096)"
-    )
-    parser.add_argument(
-        "--cache-ttl",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="expire cached scores after this many seconds (default: no TTL)",
-    )
-    parser.add_argument(
-        "--cache-admission",
-        choices=ADMISSION_POLICIES,
-        default=None,
-        help="score-cache admission policy: lru admits every line, tinylfu "
-        "gates inserts with a frequency sketch so Zipf-tail one-offs cannot "
-        "displace hot entries (default lru)",
     )
     parser.add_argument(
         "--canonicalize",
@@ -267,12 +251,7 @@ def resolve_config(args: argparse.Namespace) -> ServingConfig:
         batch=override(
             base.batch, max_batch=args.max_batch, max_latency_ms=args.max_latency_ms
         ),
-        cache=override(
-            base.cache,
-            size=args.cache_size,
-            ttl_seconds=args.cache_ttl,
-            admission=args.cache_admission,
-        ),
+        cache=override(base.cache, size=args.cache_size),
         backend=override(
             base.backend,
             kind=args.backend,
@@ -408,18 +387,15 @@ def serve_main(argv: Iterable[str] | None = None, stdout: TextIO | None = None) 
         server.sinks.add(CallbackSink(print_alert), name="cli-console")
 
     if events is None:
-        results, server = tail_stream(
-            service,
+        results = tail_stream(
+            server,
             sys.stdin,
             concurrency=config.concurrency,
             limit=args.limit,
             parse=parse_event,
-            server=server,
         )
     else:
-        results, server = serve_stream(
-            service, events, concurrency=config.concurrency, server=server
-        )
+        results = serve_stream(server, events, concurrency=config.concurrency)
 
     escalated = server.sessions.escalated_hosts()
     if escalated:

@@ -38,7 +38,6 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import ConfigError
-from repro.serving.cache import ADMISSION_POLICIES
 from repro.serving.sessions import ESCALATION_MODES as SESSION_MODES
 
 BACKEND_KINDS = ("inline", "threaded")
@@ -194,42 +193,26 @@ class CanonicalizeConfig:
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Score-cache policy: LRU size, optional TTL expiry, admission gate.
+    """Score-cache policy: the per-shard LRU capacity.
 
-    ``size == 0`` disables caching entirely; ``ttl_seconds = None``
-    keeps entries until LRU eviction or a model-generation bump.
-    ``admission`` picks the insert policy: ``"lru"`` admits everything
-    (pure recency), ``"tinylfu"`` gates inserts with a frequency sketch
-    so Zipf-tail one-off lines cannot displace the hot set — see
+    ``size == 0`` disables caching entirely.  Entries live until LRU
+    eviction or a model-generation bump — see
     :class:`~repro.serving.cache.ScoreCache`.
     """
 
     size: int = 4096
-    ttl_seconds: float | None = None
-    admission: str = "lru"
 
     def __post_init__(self):
         _as_int(self.size, "cache.size", 0)
-        if self.ttl_seconds is not None:
-            object.__setattr__(
-                self,
-                "ttl_seconds",
-                _as_float(self.ttl_seconds, "cache.ttl_seconds", 0.0, exclusive=True),
-            )
-        _as_choice(self.admission, "cache.admission", ADMISSION_POLICIES)
 
     @classmethod
     def from_dict(cls, data: Any, path: str = "cache") -> "CacheConfig":
         data = _require_mapping(data, path)
-        _reject_unknown_keys(data, ("size", "ttl_seconds", "admission"), path)
+        _reject_unknown_keys(data, ("size",), path)
         return cls(**data)
 
     def to_dict(self) -> dict:
-        out: dict = {"size": self.size}
-        if self.ttl_seconds is not None:
-            out["ttl_seconds"] = self.ttl_seconds
-        out["admission"] = self.admission
-        return out
+        return {"size": self.size}
 
 
 @dataclass(frozen=True)

@@ -255,7 +255,7 @@ class DeliveryPipeline:
     ) -> str:
         """Register *sink* under *policy*, returning its unique name.
 
-        Legacy ``emit()``-only sinks are auto-adapted.  *name* defaults
+        *sink* must be an :class:`AlertSink`.  *name* defaults
         to ``ClassName[index]``; a duplicate explicit name gets an
         ``#n`` suffix so stats never collide.
         """

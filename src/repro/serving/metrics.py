@@ -41,7 +41,6 @@ class ServingMetrics:
         "dropped",
         "cache_hits",
         "cache_misses",
-        "cache_admission_rejections",
         "front_memo_hits",
         "front_memo_misses",
         "front_errors",
@@ -73,7 +72,6 @@ class ServingMetrics:
         self.dropped = 0
         self.cache_hits = 0
         self.cache_misses = 0
-        self.cache_admission_rejections = 0
         #: Front-end memo lookups (one per kept event while
         #: canonicalization is on): a hit skips the canonicalizer for a
         #: normalized line seen before.
@@ -175,12 +173,6 @@ class ServingMetrics:
         self.swaps += 1
         self.last_swap_ms = float(duration_ms)
         self.total_swap_ms += float(duration_ms)
-
-    def sync_cache(self, cache) -> None:
-        """Mirror a :class:`~repro.serving.cache.ScoreCache`'s admission
-        counter into the metrics bundle (called by the shard after each
-        event, like ``session_evictions``)."""
-        self.cache_admission_rejections = cache.admission_rejections
 
     # -- merging (per-shard -> fleet view) ---------------------------------
 
@@ -324,7 +316,6 @@ class ServingMetrics:
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_hit_rate": round(self.cache_hit_rate, 4),
-            "cache_admission_rejections": self.cache_admission_rejections,
             "front_memo_hits": self.front_memo_hits,
             "front_memo_misses": self.front_memo_misses,
             "front_memo_hit_rate": round(self.front_memo_hit_rate, 4),

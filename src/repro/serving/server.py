@@ -24,8 +24,9 @@ its own micro-batcher, score cache, and session table — all of a host's
 state is shard-local and lock-free — while the model bundle, scoring
 backend, and delivery pipeline stay shared.  Batches from different
 shards score concurrently (each shard serializes only its own), which
-is what lets throughput scale with cores; with ``shards=1`` the server
-is behaviourally identical to the original single-path event loop.
+is what lets throughput scale with cores; with one shard (the default
+``shards.count``) the server is behaviourally identical to the original
+single-path event loop.
 
 :meth:`DetectionServer.swap_model` rotates the whole stack onto a new
 model bundle without dropping an event (the paper's weekly
@@ -50,12 +51,7 @@ from repro.errors import ConfigError
 from repro.ids.pipeline import IntrusionDetectionService
 from repro.serving.backends import InlineBackend, ScoringBackend, ThreadedBackend
 from repro.serving.cache import ScoreCache
-from repro.serving.config import (
-    BackendConfig,
-    CanonicalizeConfig,
-    ServingConfig,
-    SessionConfig,
-)
+from repro.serving.config import BackendConfig, ServingConfig, SinkSpec
 from repro.serving.delivery import DeliveryPipeline
 from repro.serving.events import CommandEvent, DetectionResult
 from repro.serving.metrics import ServingMetrics
@@ -106,6 +102,21 @@ def backend_from_config(
     return InlineBackend(service)
 
 
+def _delivery_from_config(
+    specs: Iterable[SinkSpec], registry: SinkRegistry | None = None
+) -> DeliveryPipeline:
+    """The :class:`DeliveryPipeline` a config's sink specs describe.
+
+    Each spec's URI is built through *registry* (default: the
+    process-wide one) and delivered under the spec's policy.
+    """
+    registry = registry or DEFAULT_SINK_REGISTRY
+    pipeline = DeliveryPipeline()
+    for spec in specs:
+        pipeline.add(registry.build(spec.uri), policy=spec.policy, name=spec.name)
+    return pipeline
+
+
 def _require_sequence_head(mode: str, service) -> None:
     """Fail fast when an escalation mode needs a head the service lacks."""
     if mode != "count" and not getattr(service, "has_sequence_head", False):
@@ -146,11 +157,12 @@ def _warn_on_composition_skew(session, service) -> None:
 class DetectionServer:
     """Sharded streaming front-end over an :class:`IntrusionDetectionService`.
 
-    :meth:`from_config` is the canonical constructor — one typed
-    :class:`~repro.serving.config.ServingConfig` describes the whole
-    deployment (batching, cache + admission, backend, sessions, shards,
-    sinks + delivery policies).  The keyword arguments
-    below remain as a thin compatibility layer over the same machinery.
+    One typed :class:`~repro.serving.config.ServingConfig` describes the
+    whole deployment (batching, cache, backend, sessions, shards, sinks
+    + delivery policies); every policy is read from it.
+    :meth:`from_config` is the constructor behind ``repro-ids serve``:
+    it loads a bundle directory and builds the config's sinks from a
+    :class:`~repro.serving.sinks.SinkRegistry`.
 
     Parameters
     ----------
@@ -158,51 +170,31 @@ class DetectionServer:
         A fitted detection service (only its ``preprocess``,
         ``score_normalized`` and ``threshold`` surface is used, so tests
         may substitute a lightweight stub).
+    config:
+        The deployment (default: ``ServingConfig()``).
+
+    The keyword arguments are live objects a config cannot describe:
+
     backend:
-        Scoring execution strategy, shared by every shard (default:
-        score inline with *service*).  Pass a
-        :class:`~repro.serving.backends.ThreadedBackend` to shard
-        micro-batches across threads — with multiple shards, whole
-        batches from different shards also overlap.
-    max_batch / max_latency_ms:
-        Per-shard micro-batch policy: flush on size or on the oldest
-        event's queueing deadline, whichever first.
-    cache_size / cache_ttl_seconds / cache_admission:
-        Per-shard score-cache policy: LRU capacity (0 disables),
-        optional time-to-live expiry, and the admission gate
-        (``"lru"`` or ``"tinylfu"`` — see
-        :class:`~repro.serving.cache.ScoreCache`).
+        Scoring execution strategy, shared by every shard (default: the
+        one ``config.backend`` describes).
     sinks:
-        Alert sinks to fan confirmed detections out to: an iterable of
-        :class:`AlertSink` (each delivered through the durable pipeline
-        under the default :class:`~repro.serving.config.DeliveryPolicy`)
-        or a pre-assembled
-        :class:`~repro.serving.delivery.DeliveryPipeline` — shared by
-        all shards.
-    session:
-        Full per-host escalation policy as a
-        :class:`~repro.serving.config.SessionConfig` — including the
-        escalation ``mode``; the sequence modes run each flagged event's
-        composed per-host command window through the service's
-        multi-line head (second stage, flagged events only).
-    session_window_seconds / escalation_threshold:
-        Compatibility shorthand for the two count-policy fields of
-        *session* (ignored when *session* is given).
+        Extra alert sinks, each delivered through the durable pipeline
+        under the default :class:`~repro.serving.config.DeliveryPolicy`
+        after the ``config.sinks`` ones — or a pre-assembled
+        :class:`~repro.serving.delivery.DeliveryPipeline`, which then
+        replaces them.  Shared by all shards.
     metrics:
         Optional externally-owned :class:`ServingMetrics` bundle.  With
         one shard it receives everything; with several it receives the
         control-plane figures (swaps) while each shard
         keeps its own bundle — read :attr:`metrics` for the merged
         fleet view.
-    shards / shard_virtual_nodes:
-        How many :class:`~repro.serving.shard.ShardRuntime` pipelines
-        to consistent-hash hosts across, and the hash-ring points per
-        shard.  ``shards=1`` (default) is behaviourally identical to
-        the pre-shard single-path server.
 
     Example
     -------
-    >>> async with DetectionServer(service, shards=4) as server:    # doctest: +SKIP
+    >>> config = ServingConfig(shards=ShardConfig(count=4))         # doctest: +SKIP
+    >>> async with DetectionServer(service, config) as server:      # doctest: +SKIP
     ...     result = await server.submit("nc -lvnp 4444", host="web-3")
     ...     result.is_intrusion
     True
@@ -211,83 +203,47 @@ class DetectionServer:
     def __init__(
         self,
         service: IntrusionDetectionService,
+        config: ServingConfig | None = None,
         *,
         backend: ScoringBackend | None = None,
-        max_batch: int = 32,
-        max_latency_ms: float = 25.0,
-        cache_size: int = 4096,
-        cache_ttl_seconds: float | None = None,
-        cache_admission: str = "lru",
         sinks: Iterable[AlertSink] | DeliveryPipeline = (),
-        session: SessionConfig | None = None,
-        session_window_seconds: float = 300.0,
-        escalation_threshold: int = 5,
         metrics: ServingMetrics | None = None,
-        shards: int = 1,
-        shard_virtual_nodes: int = 64,
-        columnar: bool = True,
-        canonicalize: CanonicalizeConfig | None = None,
-        compiled: bool = True,
     ):
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        #: Whether scoring should run through the compiled float32
-        #: inference plan (``compiled = false`` serves the bit-exact
-        #: float64 tape; models the compiler doesn't cover fall back to
-        #: the tape with a warning).
-        self.compiled = bool(compiled)
-        if self.compiled and hasattr(service, "compile_inference"):
+        config = config or ServingConfig()
+        #: The deployment this server serves.
+        self.config = config
+        if config.backend.compiled and hasattr(service, "compile_inference"):
             service.compile_inference()
-        backend = backend or InlineBackend(service)
+        backend = backend or backend_from_config(config.backend, service)
         if isinstance(sinks, DeliveryPipeline):
             pipeline = sinks
         else:
-            pipeline = DeliveryPipeline(sinks)
-        #: The declarative config this server was assembled from
-        #: (set by :meth:`from_config`; ``None`` for kwargs construction).
-        self.config: ServingConfig | None = None
-        if session is None:
-            session = SessionConfig(
-                window_seconds=session_window_seconds,
-                escalation_threshold=escalation_threshold,
-            )
-        _require_sequence_head(session.mode, service)
-        _warn_on_composition_skew(session, service)
-        #: The resolved per-host escalation policy (shared by all shards).
-        self.session_policy = session
-        #: Canonicalization stage policy (disabled by default — off is
-        #: byte-identical to the pre-canonicalization pipeline).
-        self.canonicalize_policy = canonicalize or CanonicalizeConfig()
+            pipeline = _delivery_from_config(config.sinks)
+            for sink in sinks:
+                pipeline.add(sink)
+        _require_sequence_head(config.session.mode, service)
+        _warn_on_composition_skew(config.session, service)
         self._ctx = ShardContext(service, backend, pipeline)
-        self.router = ShardRouter(shards, virtual_nodes=shard_virtual_nodes)
-        if shards == 1:
+        count = config.shards.count
+        self.router = ShardRouter(count, virtual_nodes=config.shards.virtual_nodes)
+        if count == 1:
             # single-path deployment: one metrics bundle sees everything,
             # exactly as before the shard refactor
             shard_metrics = [metrics or ServingMetrics()]
             self._control_metrics = shard_metrics[0]
         else:
-            shard_metrics = [ServingMetrics() for _ in range(shards)]
+            shard_metrics = [ServingMetrics() for _ in range(count)]
             self._control_metrics = metrics or ServingMetrics()
         #: The per-shard pipelines, indexable by the router's shard id.
         self.shards = [
             ShardRuntime(
-                shard_id,
-                context=self._ctx,
-                max_batch=max_batch,
-                max_latency_ms=max_latency_ms,
-                cache_size=cache_size,
-                cache_ttl_seconds=cache_ttl_seconds,
-                cache_admission=cache_admission,
-                session=session,
-                metrics=shard_metrics[shard_id],
-                columnar=columnar,
-                canonicalize=self.canonicalize_policy,
+                shard_id, context=self._ctx, config=config, metrics=shard_metrics[shard_id]
             )
-            for shard_id in range(shards)
+            for shard_id in range(count)
         ]
         described = backend.describe()
         self._control_metrics.backend = described
-        self._control_metrics.shards = shards
+        self._control_metrics.shards = count
         for runtime in self.shards:
             runtime.metrics.backend = described
         self._swap_lock: asyncio.Lock | None = None
@@ -385,9 +341,7 @@ class DetectionServer:
         came from a bundle directory, the resolved config is written
         back into the bundle metadata (best-effort), so the next
         ``from_config(bundle)`` without an explicit config reproduces
-        this deployment.  ``from_config(..., shards=1)`` — the default
-        — stays behaviourally identical to the pre-shard single-path
-        server.
+        this deployment.
         """
         if isinstance(bundle, (str, Path)):
             service = IntrusionDetectionService.load(bundle)
@@ -395,29 +349,12 @@ class DetectionServer:
             service = bundle  # an already-constructed service (or test stub)
         if config is None:
             config = getattr(service, "serving_config", None) or ServingConfig()
-        backend = backend_from_config(config.backend, service)
-        pipeline = DeliveryPipeline()
-        registry = registry or DEFAULT_SINK_REGISTRY
-        for spec in config.sinks:
-            pipeline.add(registry.build(spec.uri), policy=spec.policy, name=spec.name)
         server = cls(
             service,
-            backend=backend,
-            max_batch=config.batch.max_batch,
-            max_latency_ms=config.batch.max_latency_ms,
-            cache_size=config.cache.size,
-            cache_ttl_seconds=config.cache.ttl_seconds,
-            cache_admission=config.cache.admission,
-            sinks=pipeline,
-            session=config.session,
+            config,
+            sinks=_delivery_from_config(config.sinks, registry),
             metrics=metrics,
-            shards=config.shards.count,
-            shard_virtual_nodes=config.shards.virtual_nodes,
-            columnar=config.batch.columnar,
-            canonicalize=config.canonicalize,
-            compiled=config.backend.compiled,
         )
-        server.config = config
         if record:
             recorder = getattr(service, "record_serving_config", None)
             if callable(recorder):
@@ -568,11 +505,11 @@ class DetectionServer:
             if service is None:
                 # deserialize off-loop: scoring with the old model continues
                 service = await asyncio.to_thread(IntrusionDetectionService.load, bundle_dir)
-            if self.compiled and hasattr(service, "compile_inference"):
+            if self.config.backend.compiled and hasattr(service, "compile_inference"):
                 await asyncio.to_thread(service.compile_inference)
             # a sequence-mode server must never rotate onto a bundle that
             # lost its second stage — fail before touching the backend
-            _require_sequence_head(self.session_policy.mode, service)
+            _require_sequence_head(self.config.session.mode, service)
             drain_started = time.perf_counter()
             async with contextlib.AsyncExitStack() as stack:
                 # quiesce the fleet: hold every shard's score lock, so no
@@ -604,23 +541,18 @@ class DetectionServer:
 
 
 def serve_stream(
-    service: IntrusionDetectionService,
+    server: DetectionServer,
     events: Iterable[CommandEvent | str],
     *,
     concurrency: int = 8,
-    **server_options,
-) -> tuple[list[DetectionResult], DetectionServer]:
-    """Drive a server over *events* with in-process async producers.
+) -> list[DetectionResult]:
+    """Drive *server* over *events* with in-process async producers.
 
-    The synchronous entry point used by ``repro-ids serve`` and the
-    benchmarks: materialises *events*, fans them across *concurrency*
-    producer tasks (so the micro-batchers actually see concurrent
-    traffic), and returns per-event results in input order plus the
-    stopped server for metrics/sink inspection.
-
-    ``server_options`` may be an existing ``server=`` (reused as-is,
-    e.g. to measure a warm cache — no other options are allowed then),
-    or keyword options for a new :class:`DetectionServer`.
+    The synchronous entry point used by ``repro-ids serve --input FILE``:
+    materialises *events*, starts the server, fans the events across
+    *concurrency* producer tasks (so the micro-batchers actually see
+    concurrent traffic), stops it, and returns per-event results in
+    input order.  The stopped server keeps its metrics and sink stats.
     """
     if concurrency < 1:
         raise ValueError("concurrency must be >= 1")
@@ -628,7 +560,6 @@ def serve_stream(
         event if isinstance(event, CommandEvent) else CommandEvent(line=event)
         for event in events
     ]
-    server = _resolve_server(service, server_options)
 
     async def _run() -> list[DetectionResult]:
         results: list[DetectionResult | None] = [None] * len(materialized)
@@ -648,68 +579,26 @@ def serve_stream(
             await asyncio.gather(*(producer() for _ in range(concurrency)))
         return [result for result in results if result is not None]
 
-    return asyncio.run(_run()), server
-
-
-def serve_batches(
-    service: IntrusionDetectionService,
-    events: Iterable[CommandEvent | str],
-    *,
-    batch_size: int = 1024,
-    **server_options,
-) -> tuple[list[DetectionResult], DetectionServer]:
-    """Drive a server over *events* through the batch-first path.
-
-    The bulk twin of :func:`serve_stream` for replay/backfill workloads
-    where the events are already collected: instead of fanning
-    single-event producers into per-shard micro-batchers, slices of
-    *batch_size* events go straight to
-    :meth:`DetectionServer.submit_many`, which runs each shard's slice
-    through its columnar pipeline in one pass.  Returns per-event
-    results in input order plus the stopped server.
-
-    ``server_options`` follows :func:`serve_stream`: an existing
-    ``server=`` (alone), or keyword options for a new
-    :class:`DetectionServer`.
-    """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    materialized = [
-        event if isinstance(event, CommandEvent) else CommandEvent(line=event)
-        for event in events
-    ]
-    server = _resolve_server(service, server_options)
-
-    async def _run() -> list[DetectionResult]:
-        results: list[DetectionResult] = []
-        async with server:
-            for start in range(0, len(materialized), batch_size):
-                results.extend(
-                    await server.submit_many(materialized[start : start + batch_size])
-                )
-        return results
-
-    return asyncio.run(_run()), server
+    return asyncio.run(_run())
 
 
 def tail_stream(
-    service: IntrusionDetectionService,
+    server: DetectionServer,
     stream: TextIO,
     *,
     concurrency: int = 8,
     limit: int | None = None,
     parse: Callable[[str], CommandEvent | None] | None = None,
     on_result: Callable[[DetectionResult], None] | None = None,
-    **server_options,
-) -> tuple[list[DetectionResult], DetectionServer]:
-    """Follow *stream* live, submitting each event as it arrives.
+) -> list[DetectionResult]:
+    """Follow *stream* live, submitting each event to *server* as it arrives.
 
     Unlike :func:`serve_stream`, the input is **not** read to EOF first:
     a reader thread feeds a bounded queue as lines appear on the (possibly
     unbounded) pipe, and *concurrency* producer tasks submit them to the
     server immediately — the ``repro-ids serve --input -`` live-tail
-    mode the ROADMAP called for.  Returns when the stream ends (EOF or
-    *limit* events), with results in arrival order.
+    mode.  Starts and stops the server; returns when the stream ends
+    (EOF or *limit* events), with results in arrival order.
 
     *parse* maps one raw text line to a :class:`CommandEvent` (``None``
     skips the line; default: the whole line is the command).  *on_result*
@@ -721,7 +610,6 @@ def tail_stream(
     if limit is not None and limit <= 0:
         limit = 0
     parse = parse or _parse_plain_line
-    server = _resolve_server(service, server_options)
 
     async def _run() -> list[DetectionResult]:
         loop = asyncio.get_running_loop()
@@ -775,24 +663,9 @@ def tail_stream(
             raise reader_failure[0]
         return [result for _, result in sorted(sequenced, key=lambda pair: pair[0])]
 
-    return asyncio.run(_run()), server
+    return asyncio.run(_run())
 
 
 def _parse_plain_line(text: str) -> CommandEvent | None:
     line = text.rstrip("\n")
     return CommandEvent(line=line) if line.strip() else None
-
-
-def _resolve_server(
-    service: IntrusionDetectionService, server_options: dict
-) -> DetectionServer:
-    """Shared ``server=`` / option handling for the stream drivers."""
-    server = server_options.pop("server", None)
-    if server is not None and server_options:
-        raise ValueError(
-            "server= reuses an existing DetectionServer; these options would be "
-            f"silently ignored: {sorted(server_options)}"
-        )
-    if server is None:
-        server = DetectionServer(service, **server_options)
-    return server

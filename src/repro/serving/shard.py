@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.preprocess.canonicalize import CanonicalizeResult, Canonicalizer
 from repro.serving.cache import ScoreCache
-from repro.serving.config import CanonicalizeConfig, SessionConfig
+from repro.serving.config import ServingConfig
 from repro.serving.events import (
     AlertStatus,
     DetectionAlert,
@@ -143,7 +143,7 @@ class ShardRuntime:
     :attr:`front_memo` maps a normalized line to its canonicalize
     outcome, so a repeat skips the canonicalizer; a miss hands it the
     AST ``service.preprocess`` parsed, so no line is parsed twice.  The
-    memo is an LRU holding at most ``cache_size`` entries; its keys are
+    memo is an LRU holding at most ``cache.size`` entries; its keys are
     normalized lines, which the service normalizer has already cut to
     ``max_length``, so its bytes stay bounded under adversarial input.
     :meth:`reset_front` empties it when the service rotates.
@@ -154,27 +154,18 @@ class ShardRuntime:
         shard_id: int,
         *,
         context: ShardContext,
-        max_batch: int = 32,
-        max_latency_ms: float = 25.0,
-        cache_size: int = 4096,
-        cache_ttl_seconds: float | None = None,
-        cache_admission: str = "lru",
-        session: SessionConfig | None = None,
+        config: ServingConfig,
         metrics: ServingMetrics | None = None,
-        columnar: bool = True,
-        canonicalize: CanonicalizeConfig | None = None,
     ):
         self.shard_id = shard_id
         self._ctx = context
-        #: Prefer the columnar (``TokenBatch``) scoring path when the
-        #: service and backend both support it; ``False`` forces the
-        #: per-line string path (the pre-columnar behaviour).
-        self.columnar = columnar
+        #: The deployment this shard serves: its ``batch``, ``cache``,
+        #: ``session`` and ``canonicalize`` sections are the policy.
+        self.config = config
         self.metrics = metrics or ServingMetrics()
-        self._canonicalize_policy = canonicalize
         #: AST-backed canonicalization between preprocess and the cache
-        #: seam; ``None`` (canonicalize disabled or absent) keeps the
-        #: pipeline byte-identical to the pre-canonicalization path.
+        #: seam; ``None`` (canonicalize disabled) keeps the pipeline
+        #: byte-identical to the pre-canonicalization path.
         self.canonicalizer: Canonicalizer | None = None
         #: Normalized line → canonicalize outcome: the cache key itself
         #: (unchanged, not decoded — usually the very same string), or
@@ -183,10 +174,8 @@ class ShardRuntime:
         #: common entry as small as the memo's own dict slot.
         self.front_memo: OrderedDict[str, str | tuple[str, CanonicalizeResult]] = OrderedDict()
         self.reset_front()
-        self.cache = ScoreCache(
-            cache_size, ttl_seconds=cache_ttl_seconds, admission=cache_admission
-        )
-        session = session or SessionConfig()
+        self.cache = ScoreCache(config.cache.size)
+        session = config.session
         self.sessions = SessionAggregator(
             window_seconds=session.window_seconds,
             escalation_threshold=session.escalation_threshold,
@@ -202,8 +191,8 @@ class ShardRuntime:
         # until the cyclic GC runs
         self.batcher = MicroBatcher(
             None,
-            max_batch=max_batch,
-            max_latency_ms=max_latency_ms,
+            max_batch=config.batch.max_batch,
+            max_latency_ms=config.batch.max_latency_ms,
             on_flush=self.metrics.record_batch,
         )
         self._score_lock: asyncio.Lock | None = None
@@ -243,8 +232,8 @@ class ShardRuntime:
         ``DetectionServer.swap_model`` rotates the service, nothing the
         previous canonicalizer computed may be served.
         """
-        policy = self._canonicalize_policy
-        if policy is not None and policy.enabled:
+        policy = self.config.canonicalize
+        if policy.enabled:
             normalizer = getattr(self._ctx.service, "normalizer", None)
             self.canonicalizer = Canonicalizer(
                 decode_base64=policy.decode_base64,
@@ -292,7 +281,6 @@ class ShardRuntime:
         if newly_escalated:
             self.metrics.escalations += 1
         self.metrics.session_evictions = self.sessions.evictions
-        self.metrics.sync_cache(self.cache)
         context = None
         sequence_score = None
         if is_intrusion and self.sessions.mode != "count":
@@ -449,7 +437,7 @@ class ShardRuntime:
         """Whether batches can take the columnar (``TokenBatch``) path."""
         ctx = self._ctx
         return (
-            self.columnar
+            self.config.batch.columnar
             and ctx.backend.supports_columnar
             and callable(getattr(ctx.service, "encode_batch", None))
         )
@@ -627,7 +615,6 @@ class ShardRuntime:
                 )
 
         self.metrics.session_evictions = self.sessions.evictions
-        self.metrics.sync_cache(self.cache)
         latency = (time.perf_counter() - started) * 1000.0
         results = []
         for index, (raw, host, _) in enumerate(events):

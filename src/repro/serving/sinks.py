@@ -4,10 +4,9 @@ Sinks speak a batch-first, lifecycle-aware protocol —
 :meth:`AlertSink.open` / :meth:`AlertSink.emit_many` /
 :meth:`AlertSink.flush` / :meth:`AlertSink.close` — so durable
 transports (files, webhooks, sockets) can amortise per-alert overhead
-and make their persistence guarantees explicit.  Legacy sinks that only
-implement per-alert :meth:`AlertSink.emit` keep working: the base class
-maps ``emit_many`` onto ``emit``, and duck-typed objects are wrapped by
-:func:`ensure_sink`.
+and make their persistence guarantees explicit.  Simple sinks may
+implement only per-alert :meth:`AlertSink.emit`: the base class maps
+``emit_many`` onto it.
 
 Unlike the v1 protocol, a sink **may raise** from ``emit_many``: the
 :class:`~repro.serving.delivery.DeliveryPipeline` that drives sinks in
@@ -265,47 +264,11 @@ class TcpSocketSink(AlertSink):
                 self._sock = None
 
 
-class _DuckTypedSinkAdapter(AlertSink):
-    """Wrap an ``emit()``-only object (not an :class:`AlertSink`) in the
-    v2 protocol, forwarding whatever lifecycle methods it does have."""
-
-    def __init__(self, sink):
-        self.wrapped = sink
-
-    def open(self) -> None:
-        hook = getattr(self.wrapped, "open", None)
-        if callable(hook):
-            hook()
-
-    def emit(self, alert: DetectionAlert) -> None:
-        self.wrapped.emit(alert)
-
-    def flush(self) -> None:
-        hook = getattr(self.wrapped, "flush", None)
-        if callable(hook):
-            hook()
-
-    def close(self) -> None:
-        hook = getattr(self.wrapped, "close", None)
-        if callable(hook):
-            hook()
-
-
 def ensure_sink(sink) -> AlertSink:
-    """*sink* as a v2 :class:`AlertSink` (auto-adapting legacy objects).
-
-    :class:`AlertSink` subclasses pass through unchanged (the base class
-    already maps ``emit_many`` onto a subclass's ``emit``); any other
-    object exposing ``emit(alert)`` is wrapped so it gains the batch
-    and lifecycle surface.
-    """
+    """*sink*, checked to be an :class:`AlertSink` (``TypeError`` if not)."""
     if isinstance(sink, AlertSink):
         return sink
-    if callable(getattr(sink, "emit", None)):
-        return _DuckTypedSinkAdapter(sink)
-    raise TypeError(
-        f"not an alert sink: {sink!r} (need an AlertSink or an object with .emit)"
-    )
+    raise TypeError(f"not an alert sink: {sink!r} (need an AlertSink subclass)")
 
 
 # -- URI-addressed construction ----------------------------------------------
@@ -429,45 +392,3 @@ def register_sink_scheme(
 ) -> None:
     """Register a custom ``scheme://`` factory in the default registry."""
     DEFAULT_SINK_REGISTRY.register(scheme, factory)
-
-
-class SinkFanout:
-    """Deliver each alert synchronously to every registered sink.
-
-    Legacy fan-out (the served path now runs the durable
-    :class:`~repro.serving.delivery.DeliveryPipeline` instead): a broken
-    sink must not take down the detection path, so exceptions are
-    counted and swallowed.  Failures are keyed per sink *instance*
-    (``ClassName[index]``), so two sinks of the same class keep separate
-    counters.
-    """
-
-    def __init__(self, sinks: list[AlertSink] | tuple[AlertSink, ...] = ()):
-        self.sinks: list[AlertSink] = []
-        self._labels: list[str] = []
-        self.delivered = 0
-        self.failures: dict[str, int] = {}
-        for sink in sinks:
-            self.add(sink)
-
-    def add(self, sink: AlertSink) -> None:
-        """Register another sink."""
-        self._labels.append(f"{type(sink).__name__}[{len(self.sinks)}]")
-        self.sinks.append(sink)
-
-    def emit(self, alert: DetectionAlert) -> None:
-        """Fan *alert* out to all sinks."""
-        for sink, label in zip(self.sinks, self._labels):
-            try:
-                sink.emit(alert)
-                self.delivered += 1
-            except Exception:
-                self.failures[label] = self.failures.get(label, 0) + 1
-
-    def close(self) -> None:
-        """Close all sinks (failures swallowed here too)."""
-        for sink, label in zip(self.sinks, self._labels):
-            try:
-                sink.close()
-            except Exception:
-                self.failures[label] = self.failures.get(label, 0) + 1

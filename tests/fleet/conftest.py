@@ -13,8 +13,12 @@ import asyncio
 import pytest
 
 from repro.fleet import FleetConfig, FleetNode, FleetRouter
-from repro.serving import CallbackSink, DetectionServer
+from repro.serving import BatchConfig, CallbackSink, DetectionServer, ServingConfig
 from tests.serving.conftest import StubService
+
+
+#: Node servers flush a micro-batch after 5 ms instead of 25.
+FAST_FLUSH = ServingConfig(batch=BatchConfig(max_latency_ms=5.0))
 
 
 def run(coro):
@@ -46,14 +50,12 @@ async def start_fleet(
     *,
     make_service=StubService,
     fleet_overrides: dict | None = None,
-    server_kwargs: dict | None = None,
     swap_resolver=None,
 ) -> FleetHarness:
     """Start *n_nodes* stub-backed nodes on OS-assigned ports."""
-    server_kwargs = {"max_latency_ms": 5.0, **(server_kwargs or {})}
     nodes = []
     for _ in range(n_nodes):
-        server = DetectionServer(make_service(), **server_kwargs)
+        server = DetectionServer(make_service(), FAST_FLUSH)
         node = FleetNode(server, port=0, swap_resolver=swap_resolver)
         await node.start()
         nodes.append(node)

@@ -23,7 +23,7 @@ from repro.errors import FleetError
 from repro.fleet import FleetRouter
 from repro.serving import CallbackSink, DetectionServer
 from repro.serving.events import CommandEvent
-from tests.fleet.conftest import FleetHarness, run, start_fleet, stop_fleet
+from tests.fleet.conftest import FAST_FLUSH, FleetHarness, run, start_fleet, stop_fleet
 from tests.serving.conftest import StubService
 
 
@@ -57,7 +57,7 @@ class TestParity:
         async def single_side():
             alerts = []
             server = DetectionServer(
-                StubService(), max_latency_ms=5.0, sinks=[CallbackSink(alerts.append)]
+                StubService(), FAST_FLUSH, sinks=[CallbackSink(alerts.append)]
             )
             async with server:
                 await server.submit_many(

@@ -19,6 +19,7 @@ from repro.fleet.protocol import (
     write_frame,
 )
 from repro.serving import DetectionServer
+from tests.fleet.conftest import FAST_FLUSH
 from tests.serving.conftest import StubService
 
 
@@ -27,7 +28,7 @@ def run(coro):
 
 
 async def start_node(**node_kwargs) -> FleetNode:
-    server = DetectionServer(StubService(), max_latency_ms=5.0)
+    server = DetectionServer(StubService(), FAST_FLUSH)
     node = FleetNode(server, port=0, **node_kwargs)
     return await node.start()
 

@@ -46,10 +46,13 @@ from repro.loggen import (
     Variant,
 )
 from repro.serving import (
+    BatchConfig,
     CanonicalizeConfig,
     CommandEvent,
     DetectionServer,
+    ServingConfig,
     SessionConfig,
+    ShardConfig,
     serve_stream,
 )
 from repro.tuning.multiline import SEPARATOR
@@ -622,14 +625,14 @@ def replay(
         context_max_gap_seconds=context_max_gap_seconds,
         max_hosts=max_hosts,
     )
-    server = DetectionServer(
-        service,
-        max_latency_ms=5,
+    config = ServingConfig(
+        batch=BatchConfig(max_latency_ms=5),
         session=session,
-        shards=shards,
-        canonicalize=CanonicalizeConfig(enabled=True) if canonicalize else None,
+        shards=ShardConfig(count=shards),
+        canonicalize=CanonicalizeConfig(enabled=canonicalize),
     )
-    results, server = serve_stream(service, list(scenario.events), concurrency=1, server=server)
+    server = DetectionServer(service, config)
+    results = serve_stream(server, list(scenario.events), concurrency=1)
     return ReplayReport(
         scenario=scenario, mode=mode, results=results, server=server, service=service
     )

@@ -6,19 +6,26 @@ import numpy as np
 import pytest
 
 from repro.serving import (
-    BatchAborted,
+    BatchConfig,
     DetectionServer,
     InlineBackend,
+    ServingConfig,
     ThreadedBackend,
     serve_stream,
 )
 from repro.serving.backends import _split_shards
 from repro.serving.demo import DEMO_BENIGN, DEMO_MALICIOUS
+from repro.serving.microbatch import BatchAborted
 from tests.serving.conftest import THREADED_WORKERS
 
 
 def run(coro):
     return asyncio.run(coro)
+
+
+def flushing_after(max_latency_ms: float) -> ServingConfig:
+    """Defaults, with a micro-batch flush deadline of *max_latency_ms*."""
+    return ServingConfig(batch=BatchConfig(max_latency_ms=max_latency_ms))
 
 
 class FixedScoreService:
@@ -144,7 +151,8 @@ class TestScoringFailure:
     def test_failed_batch_fails_all_producers_and_server_stays_up(self):
         service = FailingService()
         backend = ThreadedBackend(service, workers=THREADED_WORKERS, min_shard=1)
-        server = DetectionServer(service, backend=backend, max_batch=8, max_latency_ms=50)
+        config = ServingConfig(batch=BatchConfig(max_batch=8, max_latency_ms=50))
+        server = DetectionServer(service, config, backend=backend)
 
         async def scenario():
             async with server:
@@ -169,7 +177,7 @@ class TestScoringFailure:
 class TestStopMidBatch:
     def test_stop_during_inflight_sharded_batch_aborts_producers(self):
         backend = ThreadedBackend(SlowService(delay=0.4), workers=THREADED_WORKERS, min_shard=1)
-        server = DetectionServer(SlowService(0.0), backend=backend, max_latency_ms=5)
+        server = DetectionServer(SlowService(0.0), flushing_after(5), backend=backend)
 
         async def scenario():
             await server.start()
@@ -185,7 +193,7 @@ class TestStopMidBatch:
 
     def test_server_restarts_after_stop_mid_batch(self):
         backend = ThreadedBackend(SlowService(delay=0.2), workers=2, min_shard=1)
-        server = DetectionServer(SlowService(0.0), backend=backend, max_latency_ms=5)
+        server = DetectionServer(SlowService(0.0), flushing_after(5), backend=backend)
 
         async def scenario():
             await server.start()
@@ -215,10 +223,8 @@ class TestBackendEquivalence:
     EVENTS = (DEMO_BENIGN + DEMO_MALICIOUS) * 2
 
     def _stream(self, service, backend):
-        server = DetectionServer(service, backend=backend, max_latency_ms=5)
-        results, server = serve_stream(
-            service, list(self.EVENTS), concurrency=1, server=server
-        )
+        server = DetectionServer(service, flushing_after(5), backend=backend)
+        results = serve_stream(server, list(self.EVENTS), concurrency=1)
         ring_alerts = [
             (r.event_id, r.line, r.score) for r in results if r.is_intrusion
         ]
@@ -245,20 +251,17 @@ class TestBackendEquivalence:
     def test_concurrent_equivalence_within_tolerance(self, demo_service):
         """Under real concurrency batch composition varies, so scores may
         differ in the last float ulp — decisions must still agree."""
-        inline_results, _ = serve_stream(
-            demo_service,
+        inline_results = serve_stream(
+            DetectionServer(demo_service, flushing_after(10)),
             list(self.EVENTS),
             concurrency=4,
-            max_latency_ms=10,
         )
         server = DetectionServer(
             demo_service,
+            flushing_after(10),
             backend=ThreadedBackend(demo_service, workers=THREADED_WORKERS, min_shard=1),
-            max_latency_ms=10,
         )
-        threaded_results, _ = serve_stream(
-            demo_service, list(self.EVENTS), concurrency=4, server=server
-        )
+        threaded_results = serve_stream(server, list(self.EVENTS), concurrency=4)
         assert len(threaded_results) == len(inline_results)
         for a, b in zip(inline_results, threaded_results):
             assert abs(a.score - b.score) < 1e-9

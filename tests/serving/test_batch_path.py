@@ -1,5 +1,5 @@
-"""Tests for the batch-first scoring path: process_batch / submit_many /
-serve_batches, and the columnar pipeline they ride on.
+"""Tests for the batch-first scoring path: process_batch / submit_many,
+and the columnar pipeline they ride on.
 
 The contract under test: scores, verdicts, and escalation bookkeeping
 from the batch path are identical to submitting the same events one at
@@ -10,13 +10,13 @@ per-line string path when they don't.
 
 import asyncio
 
-import pytest
-
 from repro.serving import (
+    BatchConfig,
     CommandEvent,
     DetectionServer,
+    ServingConfig,
+    ShardConfig,
     ThreadedBackend,
-    serve_batches,
 )
 from repro.serving.config import SessionConfig
 from tests.serving.conftest import THREADED_WORKERS
@@ -83,7 +83,7 @@ class TestStubFallback:
         assert server.metrics.cache_hits == 0
 
     def test_disabling_columnar_flag_is_honoured(self, stub_service):
-        server = DetectionServer(stub_service, columnar=False)
+        server = DetectionServer(stub_service, ServingConfig(batch=BatchConfig(columnar=False)))
         assert not server.shards[0]._columnar_active()
 
 
@@ -104,7 +104,8 @@ class TestColumnarParity:
     def test_columnar_engages_and_matches_string_path_bitwise(self, demo_service):
         events = self.demo_events()
         columnar_server = DetectionServer(demo_service)
-        string_server = DetectionServer(demo_service, columnar=False)
+        string_config = ServingConfig(batch=BatchConfig(columnar=False))
+        string_server = DetectionServer(demo_service, string_config)
         columnar = run(_batched(columnar_server, events))
         string = run(_batched(string_server, events))
         assert columnar_server.metrics.snapshot()["columnar_batches"] > 0
@@ -127,7 +128,7 @@ class TestColumnarParity:
 
     def test_sharded_submit_many_preserves_input_order(self, demo_service):
         events = self.demo_events()
-        server = DetectionServer(demo_service, shards=3)
+        server = DetectionServer(demo_service, ServingConfig(shards=ShardConfig(count=3)))
         results = run(_batched(server, events))
         assert [r.host for r in results] == [e.host for e in events]
         assert [r.raw_line for r in results] == [e.line for e in events]
@@ -167,9 +168,10 @@ class TestSequenceStageBatched:
     def test_sequence_scores_and_escalations_match_per_event(self, two_stage_stub):
         from tests.serving.conftest import TwoStageStubService
 
-        reference_server = DetectionServer(TwoStageStubService(), session=self.session())
+        config = ServingConfig(session=self.session())
+        reference_server = DetectionServer(TwoStageStubService(), config)
         reference = run(_per_event(reference_server, self.events()))
-        server = DetectionServer(two_stage_stub, session=self.session())
+        server = DetectionServer(two_stage_stub, config)
         batched = run(_batched(server, self.events()))
         for ref, out in zip(reference, batched):
             assert out.sequence_score == ref.sequence_score
@@ -182,10 +184,21 @@ class TestSequenceStageBatched:
         assert snap["sequence_escalations"] == ref_snap["sequence_escalations"] > 0
 
 
-class TestServeBatchesDriver:
-    def test_results_in_input_order_with_metrics(self, stub_service):
+class TestSubmitManySlices:
+    """A stream fed to one running server in ``submit_many`` slices."""
+
+    def test_slices_keep_input_order_and_warm_the_cache(self, stub_service):
         events = mixed_events(45)
-        results, server = serve_batches(stub_service, events, batch_size=16)
+        server = DetectionServer(stub_service)
+
+        async def scenario():
+            async with server:
+                results = []
+                for start in range(0, len(events), 16):
+                    results.extend(await server.submit_many(events[start : start + 16]))
+                return results
+
+        results = run(scenario())
         assert len(results) == len(events)
         assert [r.raw_line for r in results] == [e.line for e in events]
         snap = server.metrics.snapshot()
@@ -195,9 +208,5 @@ class TestServeBatchesDriver:
         assert snap["cache_hits"] > 0
 
     def test_plain_strings_are_accepted(self, stub_service):
-        results, _ = serve_batches(stub_service, ["ls", "evil thing", "ls"], batch_size=2)
+        results = run(_batched(DetectionServer(stub_service), ["ls", "evil thing", "ls"]))
         assert [r.is_intrusion for r in results] == [False, True, False]
-
-    def test_invalid_batch_size_rejected(self, stub_service):
-        with pytest.raises(ValueError, match="batch_size"):
-            serve_batches(stub_service, [], batch_size=0)

@@ -1,4 +1,4 @@
-"""Tests for the LRU score cache (and its TinyLFU admission gate)."""
+"""Tests for the LRU score cache and its model-generation invalidation."""
 
 from collections import OrderedDict
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serving import FrequencySketch, ScoreCache
+from repro.serving import ScoreCache
 
 
 class TestScoreCache:
@@ -67,78 +67,26 @@ class TestScoreCache:
         assert len(cache) == 0
         assert cache.hits == 1
 
+    def test_scan_of_one_off_lines_displaces_the_hot_set(self):
+        """Plain LRU has no frequency memory: however often the hot
+        lines were looked up, a scan of one-off lines evicts them."""
+        cache = ScoreCache(capacity=4)
+        hot = [f"hot-{i}" for i in range(4)]
+        for line in hot:
+            cache.lookup(line)
+            cache.put(line, 0.1)
+        for line in hot * 5:
+            cache.lookup(line)
+        for index in range(50):
+            line = f"scan-{index}"
+            cache.lookup(line)
+            cache.put(line, 0.2)
+        assert not any(line in cache for line in hot)
+        assert cache.evictions == 50
+
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
             ScoreCache(capacity=-1)
-
-
-class FakeClock:
-    """Deterministic monotonic clock for TTL tests."""
-
-    def __init__(self):
-        self.now = 0.0
-
-    def advance(self, seconds):
-        self.now += seconds
-
-    def __call__(self):
-        return self.now
-
-
-class TestTtlExpiry:
-    def test_entry_expires_after_ttl(self):
-        clock = FakeClock()
-        cache = ScoreCache(capacity=4, ttl_seconds=10.0, clock=clock)
-        cache.put("a", 0.7)
-        clock.advance(9.9)
-        assert cache.get("a") == 0.7
-        clock.advance(0.2)  # now 10.1s since the put
-        assert cache.get("a") is None
-        assert cache.expirations == 1
-        assert "a" not in cache  # expired entry was dropped, not kept
-
-    def test_lookup_does_not_refresh_ttl(self):
-        """TTL measures staleness since scoring — a popular line must
-        still re-score once its score is ttl_seconds old."""
-        clock = FakeClock()
-        cache = ScoreCache(capacity=4, ttl_seconds=10.0, clock=clock)
-        cache.put("a", 0.7)
-        for _ in range(5):
-            clock.advance(3.0)
-            cache.get("a")
-        # 15s after the put: expired despite constant lookups
-        assert cache.get("a") is None
-
-    def test_put_refreshes_ttl(self):
-        clock = FakeClock()
-        cache = ScoreCache(capacity=4, ttl_seconds=10.0, clock=clock)
-        cache.put("a", 0.7)
-        clock.advance(8.0)
-        cache.put("a", 0.8)  # re-scored: stamp resets
-        clock.advance(8.0)
-        assert cache.get("a") == 0.8
-
-    def test_no_ttl_never_expires(self):
-        clock = FakeClock()
-        cache = ScoreCache(capacity=4, clock=clock)
-        cache.put("a", 0.7)
-        clock.advance(1e9)
-        assert cache.get("a") == 0.7
-        assert cache.expirations == 0
-
-    def test_expiry_counts_as_miss(self):
-        clock = FakeClock()
-        cache = ScoreCache(capacity=4, ttl_seconds=1.0, clock=clock)
-        cache.put("a", 0.7)
-        clock.advance(2.0)
-        cache.get("a")
-        assert cache.misses == 1
-        assert cache.hits == 0
-
-    @pytest.mark.parametrize("ttl", [0, -1.5])
-    def test_non_positive_ttl_rejected(self, ttl):
-        with pytest.raises(ValueError, match="ttl_seconds"):
-            ScoreCache(capacity=4, ttl_seconds=ttl)
 
 
 class TestGenerationInvalidation:
@@ -174,156 +122,6 @@ class TestGenerationInvalidation:
         cache.bump_generation()
         cache.put("a", 0.6)
         assert cache.lookup("a") == (0.6, 1)
-
-
-class TestFrequencySketch:
-    def test_estimate_tracks_recorded_accesses(self):
-        sketch = FrequencySketch(capacity=16)
-        assert sketch.estimate("ls") == 0
-        for _ in range(5):
-            sketch.record("ls")
-        assert sketch.estimate("ls") >= 5  # count-min over-estimates only
-        assert sketch.estimate("never-seen") == 0
-
-    def test_aging_halves_counters(self):
-        sketch = FrequencySketch(capacity=16, sample_size=100)
-        for _ in range(99):
-            sketch.record("hot")
-        assert sketch.estimate("hot") == 99
-        sketch.record("hot")  # 100th access triggers the aging step
-        assert sketch.ages == 1
-        assert sketch.estimate("hot") == 50
-
-    def test_deterministic_across_instances(self):
-        a, b = FrequencySketch(capacity=16), FrequencySketch(capacity=16)
-        for key in ("x", "y", "x"):
-            a.record(key)
-            b.record(key)
-        assert a.estimate("x") == b.estimate("x")
-        assert a.estimate("y") == b.estimate("y")
-
-    def test_vectorized_age_matches_per_byte_halving(self):
-        # the numpy aging pass must be byte-for-byte the old Python loop
-        import random
-
-        sketch = FrequencySketch(capacity=64)
-        rng = random.Random(7)
-        keys = [f"cmd --flag {rng.randrange(500)}" for _ in range(5_000)]
-        estimates_before = {}
-        for key in keys:
-            sketch.record(key)
-        for key in set(keys):
-            estimates_before[key] = sketch.estimate(key)
-        reference_rows = [bytes(byte // 2 for byte in row) for row in sketch._rows]
-        additions_before = sketch._additions
-        sketch._age()
-        assert [bytes(row) for row in sketch._rows] == reference_rows
-        assert sketch._additions == additions_before // 2
-        assert sketch.ages == 1
-        for key, before in estimates_before.items():
-            assert sketch.estimate(key) == before // 2
-
-    def test_saturated_counters_age_like_any_other(self):
-        sketch = FrequencySketch(capacity=1, sample_size=10_000)
-        for _ in range(300):  # saturates at the 8-bit cap (255)
-            sketch.record("hot")
-        assert sketch.estimate("hot") == 255
-        sketch._age()
-        assert sketch.estimate("hot") == 127
-
-
-class TestTinyLfuAdmission:
-    def test_one_hit_wonders_cannot_displace_the_hot_set(self):
-        cache = ScoreCache(capacity=4, admission="tinylfu")
-        hot = [f"hot-{i}" for i in range(4)]
-        for line in hot:  # admit while below capacity
-            cache.lookup(line)
-            cache.put(line, 0.1)
-        for line in hot * 5:  # build up frequency
-            cache.lookup(line)
-        for index in range(50):  # a scan of one-off lines
-            line = f"scan-{index}"
-            cache.lookup(line)
-            cache.put(line, 0.2)
-        assert all(line in cache for line in hot)
-        assert cache.admission_rejections == 50
-        assert cache.evictions == 0
-
-    def test_plain_lru_is_displaced_by_the_same_scan(self):
-        cache = ScoreCache(capacity=4, admission="lru")
-        hot = [f"hot-{i}" for i in range(4)]
-        for line in hot:
-            cache.lookup(line)
-            cache.put(line, 0.1)
-        for line in hot * 5:
-            cache.lookup(line)
-        for index in range(50):
-            line = f"scan-{index}"
-            cache.lookup(line)
-            cache.put(line, 0.2)
-        assert not any(line in cache for line in hot)
-        assert cache.admission_rejections == 0
-
-    def test_recurring_candidate_eventually_admitted(self):
-        cache = ScoreCache(capacity=2, admission="tinylfu")
-        for line in ("a", "b"):
-            cache.lookup(line)
-            cache.put(line, 0.1)
-        # "c" keeps coming back: once its sketch frequency beats the LRU
-        # victim's, it must displace it
-        for _ in range(5):
-            cache.lookup("c")
-        cache.put("c", 0.3)
-        assert "c" in cache
-
-    def test_refresh_of_resident_line_is_never_gated(self):
-        cache = ScoreCache(capacity=2, admission="tinylfu")
-        for line in ("a", "b"):
-            cache.lookup(line)
-            cache.put(line, 0.1)
-        cache.put("a", 0.9)  # refresh, not insert
-        assert cache.get("a") == 0.9
-        assert cache.admission_rejections == 0
-
-    def test_admission_survives_generation_bump(self):
-        """The sketch tracks traffic, not model output: popularity
-        earned before a swap still wins admission after it."""
-        cache = ScoreCache(capacity=2, admission="tinylfu")
-        for _ in range(10):
-            cache.lookup("hot")
-        cache.put("hot", 0.5)
-        cache.bump_generation()
-        cache.put("hot", 0.6)  # readmitted into the empty post-swap cache
-        cache.lookup("cold-1")
-        cache.put("cold-1", 0.1)
-        cache.lookup("cold-2")
-        cache.put("cold-2", 0.1)  # full cache; hot is frequency-protected
-        assert "hot" in cache
-
-    def test_unknown_admission_policy_rejected(self):
-        with pytest.raises(ValueError, match="admission"):
-            ScoreCache(capacity=4, admission="arc")
-
-    def test_zipf_trace_hit_rate_not_worse_than_lru(self):
-        """On a Zipf-with-noise trace the frequency gate must serve at
-        least as many hits as plain LRU (the benchmark asserts the same
-        on the full serving path)."""
-        import numpy as np
-
-        rng = np.random.default_rng(7)
-        zipf = rng.zipf(1.3, size=6000) % 2000
-        noise = rng.integers(10_000, 60_000, size=2000)
-        trace = [f"cmd-{v}" for v in np.concatenate([zipf, noise])]
-        rng.shuffle(trace)
-
-        def run(admission):
-            cache = ScoreCache(capacity=128, admission=admission)
-            for line in trace:
-                if cache.get(line) is None:
-                    cache.put(line, 0.5)
-            return cache.hit_rate
-
-        assert run("tinylfu") >= run("lru")
 
 
 class _CacheModel:
@@ -403,11 +201,7 @@ class TestCacheProperties:
             # capacity invariant holds after every single operation
             assert len(cache) <= max(capacity, 0)
             # LRU order (and contents) match the reference exactly
-            # (the cache also stamps each entry with a TTL clock reading,
-            # which the untimed reference model doesn't track)
-            assert [
-                (line, entry[:2]) for line, entry in cache._entries.items()
-            ] == list(model.entries.items())
+            assert list(cache._entries.items()) == list(model.entries.items())
         # hit/miss/eviction/invalidation accounting matches the model
         assert cache.hits == model.hits
         assert cache.misses == model.misses

@@ -26,10 +26,15 @@ from repro.errors import ConfigError
 from repro.serving import DetectionServer, serve_stream
 from repro.serving.backends import _warm_service
 from repro.serving.cli import build_serve_parser, resolve_config
-from repro.serving.config import BackendConfig, ServingConfig
+from repro.serving.config import BackendConfig, BatchConfig, ServingConfig
 from repro.serving.demo import DEMO_BENIGN, DEMO_MALICIOUS
 
 STREAM = [*DEMO_MALICIOUS[:4], *DEMO_BENIGN[:8]]
+
+#: Flush a micro-batch after 5 ms instead of 25.
+FAST = ServingConfig(batch=BatchConfig(max_latency_ms=5))
+#: ``FAST`` serving the bit-exact float64 tape.
+FAST_TAPE = ServingConfig(batch=FAST.batch, backend=BackendConfig(compiled=False))
 
 
 def run(coro):
@@ -94,12 +99,8 @@ class TestServiceCompilation:
 
 class TestServerIntegration:
     def _scores(self, service, *, compiled):
-        results, server = serve_stream(
-            service,
-            STREAM,
-            max_latency_ms=5,
-            compiled=compiled,
-        )
+        server = DetectionServer(service, FAST if compiled else FAST_TAPE)
+        results = serve_stream(server, STREAM)
         by_line = {r.raw_line: r.score for r in results}
         return np.array([by_line[line] for line in STREAM]), server
 
@@ -130,9 +131,8 @@ class TestServerIntegration:
             DetectionServer(fresh_service(demo_bundle), precision="float64")
 
     def test_stub_without_compile_surface_serves_plainly(self, stub_service):
-        results, server = serve_stream(
-            stub_service, ["evil --flag", "ls -la"], max_latency_ms=5, compiled=True
-        )
+        server = DetectionServer(stub_service, FAST)
+        results = serve_stream(server, ["evil --flag", "ls -la"])
         assert len(results) == 2
         assert server.metrics.compiled_batches == 0
 
@@ -140,7 +140,7 @@ class TestServerIntegration:
         service = fresh_service(demo_bundle)
 
         async def scenario():
-            async with DetectionServer(service, max_latency_ms=5):
+            async with DetectionServer(service, FAST):
                 return service.encoder.inference_plan.calls
 
         # the warm-up forward ran during start(), before any submission
@@ -153,7 +153,7 @@ class TestSwapFencing:
         second = fresh_service(demo_bundle)
 
         async def scenario():
-            async with DetectionServer(first, max_latency_ms=5) as server:
+            async with DetectionServer(first, FAST) as server:
                 before = await server.submit(DEMO_MALICIOUS[0])
                 old_plan = first.encoder.inference_plan
                 await server.swap_model(service=second)
@@ -173,7 +173,7 @@ class TestSwapFencing:
         service = fresh_service(demo_bundle)
 
         async def scenario():
-            async with DetectionServer(service, max_latency_ms=5) as server:
+            async with DetectionServer(service, FAST) as server:
                 await server.swap_model(demo_bundle)
                 return server._ctx.service
 
@@ -185,9 +185,7 @@ class TestSwapFencing:
         service = fresh_service(demo_bundle)
 
         async def scenario():
-            async with DetectionServer(
-                service, max_latency_ms=5, compiled=False
-            ) as server:
+            async with DetectionServer(service, FAST_TAPE) as server:
                 await server.swap_model(demo_bundle)
                 return server._ctx.service
 
@@ -372,5 +370,5 @@ class TestCliFlags:
         service = fresh_service(demo_bundle)
         config = self._resolve("--no-compiled")
         server = DetectionServer.from_config(service, config)
-        assert server.compiled is False
+        assert server.config.backend.compiled is False
         assert not service.inference_compiled

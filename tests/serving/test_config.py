@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.serving import DetectionServer, RingBufferSink, ServingConfig
+from repro.serving.cli import build_serve_parser
 from repro.serving.config import (
     BackendConfig,
     BatchConfig,
@@ -21,7 +22,7 @@ from repro.serving.config import (
 
 FULL_CONFIG = {
     "batch": {"max_batch": 8, "max_latency_ms": 12.5},
-    "cache": {"size": 128, "ttl_seconds": 60.0},
+    "cache": {"size": 128},
     "backend": {"kind": "threaded", "workers": 3},
     "session": {
         "window_seconds": 30.0,
@@ -87,6 +88,13 @@ PARENT_ERA_CONFIG = {
     "concurrency": 8,
 }
 
+#: ``ServingConfig().to_dict()`` as bundles recorded it while the cache
+#: still had a TinyLFU admission gate and a TTL.
+ADMISSION_ERA_CONFIG = {
+    **ServingConfig().to_dict(),
+    "cache": {"size": 4096, "admission": "lru"},
+}
+
 
 class TestRoundTrip:
     def test_defaults_round_trip(self):
@@ -116,13 +124,13 @@ class TestRoundTrip:
         path.write_text(
             "concurrency = 2\n"
             "[batch]\nmax_batch = 4\nmax_latency_ms = 7.5\n"
-            "[cache]\nsize = 32\nttl_seconds = 5.0\n"
+            "[cache]\nsize = 32\n"
             "[[sinks]]\nuri = 'ring://8'\n"
             "[sinks.policy]\nmax_retries = 1\n"
         )
         config = ServingConfig.from_file(path)
         assert config.batch == BatchConfig(max_batch=4, max_latency_ms=7.5)
-        assert config.cache.ttl_seconds == 5.0
+        assert config.cache == CacheConfig(size=32)
         assert config.sinks[0].policy.max_retries == 1
         assert ServingConfig.from_dict(config.to_dict()) == config
 
@@ -144,9 +152,6 @@ class TestRoundTrip:
         config = ServingConfig.from_dict(FULL_CONFIG)
         assert ServingConfig.from_dict(json.loads(config.to_json())) == config
 
-    def test_ttl_none_is_omitted_for_toml_compat(self):
-        assert "ttl_seconds" not in CacheConfig().to_dict()
-
 
 class TestValidationErrors:
     @pytest.mark.parametrize(
@@ -158,7 +163,8 @@ class TestValidationErrors:
             ({"batch": {"max_batch": "four"}}, "must be an integer"),
             ({"batch": {"max_latency_ms": 0}}, "batch.max_latency_ms must be > 0"),
             ({"cache": {"size": -1}}, "cache.size must be >= 0"),
-            ({"cache": {"ttl_seconds": 0}}, "cache.ttl_seconds must be > 0"),
+            ({"cache": {"ttl_seconds": 60.0}},
+             "cache: unknown key 'ttl_seconds' (valid keys: size)"),
             ({"backend": {"kind": "gpu"}}, "'inline', 'threaded' (got 'gpu')"),
             ({"backend": {"workers": 0}}, "backend.workers must be >= 1"),
             ({"session": {"escalation_threshold": 0}}, "session.escalation_threshold"),
@@ -181,6 +187,9 @@ class TestValidationErrors:
             ({"backend": {"transport": "shm"}}, "unknown key 'transport' (valid keys: kind,"),
             ({"autoscale": {"enabled": True}}, "unknown key 'autoscale' (valid keys: batch,"),
             ({"backend": {"kind": "inline", "workers": 2}}, "needs backend.kind 'threaded'"),
+            ({"cache": {"admission": "tinylfu"}},
+             "cache: unknown key 'admission' (valid keys: size)"),
+            ({"cache": {"admission": "lru"}}, "cache: unknown key 'admission' (valid keys: size)"),
         ],
     )
     def test_actionable_messages(self, data, fragment):
@@ -228,12 +237,44 @@ class TestValidationErrors:
             ServingConfig.from_file(path)
 
 
+class TestRemovedOptions:
+    """Options whose modes were deleted fail loudly, never silently."""
+
+    @pytest.mark.parametrize(
+        "argv", [["--cache-admission", "tinylfu"], ["--cache-ttl", "60"]]
+    )
+    def test_serve_flag_is_unrecognized(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_serve_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("keyword", "value"),
+        [
+            ("max_batch", 8),
+            ("max_latency_ms", 5.0),
+            ("cache_size", 0),
+            ("cache_ttl_seconds", 60.0),
+            ("cache_admission", "tinylfu"),
+            ("shards", 2),
+            ("session_window_seconds", 100.0),
+            ("canonicalize", None),
+            ("compiled", False),
+        ],
+    )
+    def test_server_keyword_is_a_type_error(self, stub_service, keyword, value):
+        # policy lives in the config; keywords take live objects only
+        with pytest.raises(TypeError, match=keyword):
+            DetectionServer(stub_service, **{keyword: value})
+
+
 class TestFromConfig:
     def test_builds_running_server_with_configured_knobs(self, stub_service):
         config = ServingConfig.from_dict(
             {
                 "batch": {"max_batch": 4, "max_latency_ms": 5.0},
-                "cache": {"size": 16, "ttl_seconds": 123.0},
+                "cache": {"size": 16},
                 "session": {"window_seconds": 9.0, "escalation_threshold": 2},
                 "sinks": ["ring://8"],
                 "concurrency": 2,
@@ -243,7 +284,6 @@ class TestFromConfig:
         assert server.config == config
         assert server.batcher.max_batch == 4
         assert server.cache.capacity == 16
-        assert server.cache.ttl_seconds == 123.0
         assert server.sessions.window_seconds == 9.0
 
         async def scenario():
@@ -284,7 +324,7 @@ class TestFromConfig:
         assert server.sessions.context_max_gap_seconds == 42.0
         assert server.sessions.max_hosts == 77
         assert server.sessions.sequence_threshold == 0.9
-        assert server.session_policy == config.session
+        assert server.config.session == config.session
 
 
 class TestBundleRecording:
@@ -311,6 +351,7 @@ class TestBundleRecording:
 
         for name, recorded in (
             ("typo", {"batch": {"max_batchh": 4}}),
+            ("admission-era", ADMISSION_ERA_CONFIG),
             ("parent-era", PARENT_ERA_CONFIG),
         ):
             bundle = tmp_path / name

@@ -89,25 +89,15 @@ class TestPipelineBasics:
         assert pipeline.add(RingBufferSink(), name="siem") == "siem"
         assert pipeline.add(RingBufferSink(), name="siem") == "siem#2"
 
-    def test_legacy_emit_only_object_is_auto_adapted(self):
-        class LegacyDuck:  # not an AlertSink subclass at all
-            def __init__(self):
-                self.seen = []
-                self.closed = False
-
+    def test_emit_only_object_is_rejected(self):
+        class EmitOnly:  # not an AlertSink subclass at all
             def emit(self, alert):
-                self.seen.append(alert)
+                pass
 
-            def close(self):
-                self.closed = True
-
-        duck = LegacyDuck()
         pipeline = DeliveryPipeline()
-        pipeline.add(duck)
-        pipeline.emit(make_alert())
-        pipeline.close()
-        assert len(duck.seen) == 1
-        assert duck.closed
+        with pytest.raises(TypeError, match="not an alert sink"):
+            pipeline.add(EmitOnly())
+        assert pipeline.sinks == []
 
     def test_ensure_sink_rejects_non_sinks(self):
         with pytest.raises(TypeError, match="not an alert sink"):

@@ -16,7 +16,7 @@ import pytest
 from repro.fleet import FleetRouter
 from repro.ids.pipeline import IntrusionDetectionService
 from repro.serving import DetectionServer
-from repro.serving.config import CanonicalizeConfig
+from repro.serving.config import BatchConfig, CanonicalizeConfig, ServingConfig
 from repro.serving.demo import DEMO_BENIGN, DEMO_MALICIOUS
 from repro.serving.events import CommandEvent
 from tests.fleet.conftest import start_fleet, stop_fleet
@@ -60,11 +60,11 @@ def test_poison_line_raises_in_preprocess(service):
 
 @pytest.mark.parametrize("canonicalize", [False, True])
 def test_submit_many_batch_survives_a_poison_line(demo_bundle, canonicalize):
-    policy = CanonicalizeConfig(enabled=canonicalize)
+    config = ServingConfig(canonicalize=CanonicalizeConfig(enabled=canonicalize))
 
     async def serve(events):
         service = IntrusionDetectionService.load(demo_bundle)
-        async with DetectionServer(service, canonicalize=policy) as server:
+        async with DetectionServer(service, config) as server:
             return await server.submit_many(events), server.metrics
 
     clean, clean_metrics = run(serve(events_with(poison=False)))
@@ -83,7 +83,8 @@ def test_submit_many_batch_survives_a_poison_line(demo_bundle, canonicalize):
 def test_submit_event_survives_a_poison_line(demo_bundle):
     async def serve(events):
         service = IntrusionDetectionService.load(demo_bundle)
-        async with DetectionServer(service, max_latency_ms=5) as server:
+        config = ServingConfig(batch=BatchConfig(max_latency_ms=5))
+        async with DetectionServer(service, config) as server:
             results = [await server.submit_event(event) for event in events]
             return results, server.metrics
 
@@ -131,8 +132,8 @@ def test_canonicalizer_error_scores_the_normalized_line(demo_bundle):
 
     async def serve():
         service = IntrusionDetectionService.load(demo_bundle)
-        policy = CanonicalizeConfig(enabled=True)
-        async with DetectionServer(service, canonicalize=policy) as server:
+        config = ServingConfig(canonicalize=CanonicalizeConfig(enabled=True))
+        async with DetectionServer(service, config) as server:
             runtime = server.shards[0]
             canonicalize = runtime.canonicalizer.canonicalize
 

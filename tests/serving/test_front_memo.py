@@ -18,7 +18,13 @@ from hypothesis import strategies as st
 from repro.loggen.evasion import build_evasion_corpus
 from repro.preprocess.canonicalize import Canonicalizer
 from repro.serving import DetectionServer
-from repro.serving.config import CanonicalizeConfig
+from repro.serving.config import (
+    BackendConfig,
+    BatchConfig,
+    CacheConfig,
+    CanonicalizeConfig,
+    ServingConfig,
+)
 from repro.serving.demo import DEMO_BENIGN, DEMO_MALICIOUS
 from tests.serving.conftest import NormalizingService, StubService
 
@@ -97,15 +103,15 @@ def service(request, demo_service):
     return NormalizingService(STUB_MAX_LENGTH)
 
 
-def make_server(service, **kwargs):
+def make_server(service, cache=CacheConfig()):
     # compiled=False: the session-scoped demo service keeps its encoder
-    return DetectionServer(
-        service,
-        max_latency_ms=1,
-        compiled=False,
+    config = ServingConfig(
+        batch=BatchConfig(max_latency_ms=1),
+        backend=BackendConfig(compiled=False),
         canonicalize=CanonicalizeConfig(enabled=True),
-        **kwargs,
+        cache=cache,
     )
+    return DetectionServer(service, config)
 
 
 def drive_twice(service, submit_pass):
@@ -161,7 +167,7 @@ def test_second_pass_skips_the_canonicalizer(service, submit_pass):
 
 
 def test_memo_is_a_bounded_lru():
-    runtime = make_server(StubService(), cache_size=4).shards[0]
+    runtime = make_server(StubService(), CacheConfig(size=4)).shards[0]
     for index in range(6):
         front(runtime, f"cmd {index}")
     assert list(runtime.front_memo) == [f"cmd {index}" for index in range(2, 6)]
@@ -172,7 +178,7 @@ def test_memo_is_a_bounded_lru():
 
 
 def test_zero_cache_size_stores_nothing():
-    runtime = make_server(StubService(), cache_size=0).shards[0]
+    runtime = make_server(StubService(), CacheConfig(size=0)).shards[0]
     assert front(runtime, "ls -la") == front(runtime, "ls -la") == "ls -la"
     assert len(runtime.front_memo) == 0
     assert runtime.metrics.front_memo_misses == 2
@@ -180,7 +186,8 @@ def test_zero_cache_size_stores_nothing():
 
 def test_no_memo_without_a_canonicalizer():
     async def scenario():
-        async with DetectionServer(StubService(), max_latency_ms=1) as server:
+        config = ServingConfig(batch=BatchConfig(max_latency_ms=1))
+        async with DetectionServer(StubService(), config) as server:
             for _ in range(2):
                 await server.submit_many(["ls -la", "ls  -la"])
             return server.shards[0]

@@ -2,7 +2,14 @@
 
 import json
 
-from repro.serving import RingBufferSink, ServingConfig, serve_stream
+from repro.serving import (
+    BatchConfig,
+    DetectionServer,
+    RingBufferSink,
+    ServingConfig,
+    SessionConfig,
+    serve_stream,
+)
 from repro.serving.cli import parse_event, serve_main
 from repro.serving.demo import DEMO_BENIGN, DEMO_MALICIOUS
 from tests.serving.conftest import THREADED_WORKERS
@@ -11,7 +18,8 @@ from tests.serving.conftest import THREADED_WORKERS
 class TestStreamingAgainstRealService:
     def test_stream_matches_batch_inspect(self, demo_service):
         lines = DEMO_BENIGN[:4] + DEMO_MALICIOUS[:2]
-        results, _ = serve_stream(demo_service, lines, concurrency=3, max_latency_ms=10)
+        server = DetectionServer(demo_service, ServingConfig(batch=BatchConfig(max_latency_ms=10)))
+        results = serve_stream(server, lines, concurrency=3)
         batch = demo_service.inspect(lines)
         for streamed, offline in zip(results, batch):
             assert streamed.line == offline.line
@@ -21,15 +29,12 @@ class TestStreamingAgainstRealService:
     def test_alerts_fan_out_for_malicious_stream(self, demo_service):
         ring = RingBufferSink()
         stream = [line for line in DEMO_MALICIOUS for _ in range(3)]
-        _, server = serve_stream(
-            demo_service,
-            stream,
-            concurrency=4,
-            max_latency_ms=10,
-            sinks=[ring],
-            session_window_seconds=1e9,
-            escalation_threshold=4,
+        config = ServingConfig(
+            batch=BatchConfig(max_latency_ms=10),
+            session=SessionConfig(window_seconds=1e9, escalation_threshold=4),
         )
+        server = DetectionServer(demo_service, config, sinks=[ring])
+        serve_stream(server, stream, concurrency=4)
         assert server.metrics.alerts == ring.emitted
         assert server.metrics.alerts >= len(DEMO_MALICIOUS)  # repeats hit the cache but still alert
         assert server.metrics.cache_hits > 0
@@ -163,7 +168,7 @@ class TestServeCliConfig:
             [
                 "--config", "examples/serve.toml",
                 "--max-batch", "64",
-                "--cache-ttl", "42.5",
+                "--cache-size", "512",
                 "--workers", "3",
                 "--backend", "threaded",
                 "--sink", "ring://7",
@@ -175,7 +180,7 @@ class TestServeCliConfig:
         base = ServingConfig.from_file("examples/serve.toml")
         assert resolved.batch.max_batch == 64
         assert resolved.batch.max_latency_ms == base.batch.max_latency_ms  # kept
-        assert resolved.cache.ttl_seconds == 42.5
+        assert resolved.cache.size == 512
         assert resolved.backend.workers == 3
         assert resolved.backend.kind == "threaded"
         assert [spec.uri for spec in resolved.sinks] == [

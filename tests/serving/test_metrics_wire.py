@@ -78,12 +78,14 @@ class TestRoundTrip:
         assert rebuilt.alerts == 0
         assert rebuilt.elapsed_seconds == 0.0
 
-        # a node still on the autoscaler-era wire form merges with a
-        # current one; the counters only that era had are dropped
+        # a node still on the autoscaler-era (or TinyLFU-era) wire form
+        # merges with a current one; the counters only that era had are
+        # dropped
         parent_era = {
             **populated_bundle(events=40).to_dict(),
             "cache_gen_hits": 12,
             "cache_gen_misses": 3,
+            "cache_admission_rejections": 5,
             "autoscale_checks": 9,
             "autoscale_ups": 1,
             "autoscale_downs": 2,
@@ -96,6 +98,8 @@ class TestRoundTrip:
         assert merged.swaps == 4
         assert "autoscale_checks" not in merged.to_dict()
         assert "cache_gen_hits" not in merged.snapshot()
+        assert "cache_admission_rejections" not in merged.to_dict()
+        assert "cache_admission_rejections" not in merged.snapshot()
 
     def test_reservoir_capacity_travels(self):
         source = populated_bundle(reservoir=16, latencies=[float(i) for i in range(40)])

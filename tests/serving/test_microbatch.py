@@ -194,7 +194,7 @@ class TestAsyncHandler:
         run(scenario())
 
     def test_stop_mid_async_handler_aborts_producers(self):
-        from repro.serving import BatchAborted
+        from repro.serving.microbatch import BatchAborted
 
         release = asyncio.Event()
 

@@ -15,7 +15,12 @@ import pytest
 
 from repro.preprocess.canonicalize import Canonicalizer, _trivially_canonical
 from repro.serving import DetectionServer
-from repro.serving.config import CanonicalizeConfig
+from repro.serving.config import (
+    BackendConfig,
+    BatchConfig,
+    CanonicalizeConfig,
+    ServingConfig,
+)
 from repro.shell.parser import Parser
 
 #: Valid lines past the canonicalizer's no-parse shortcut (quoting,
@@ -56,12 +61,12 @@ def run_passes(service, parses, lines, passes, submit):
     """Submit *lines* once per pass; per pass, the *parses* it made."""
 
     async def scenario():
-        async with DetectionServer(
-            service,
-            max_latency_ms=1,
-            compiled=False,
+        config = ServingConfig(
+            batch=BatchConfig(max_latency_ms=1),
+            backend=BackendConfig(compiled=False),
             canonicalize=CanonicalizeConfig(enabled=True),
-        ) as server:
+        )
+        async with DetectionServer(service, config) as server:
             runtime = server.shards[0]
             per_pass = []
             for _ in range(passes):

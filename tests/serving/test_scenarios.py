@@ -9,7 +9,14 @@ The flagship case is the low-and-slow attacker: invisible to the alert
 """
 
 from repro.loggen import CampaignBuilder
-from repro.serving import CanonicalizeConfig, DetectionServer, SessionConfig, serve_stream
+from repro.serving import (
+    BatchConfig,
+    CanonicalizeConfig,
+    DetectionServer,
+    ServingConfig,
+    SessionConfig,
+    serve_stream,
+)
 from repro.serving.events import AlertStatus
 from repro.tuning.multiline import SEPARATOR
 
@@ -272,17 +279,16 @@ class TestEvasionCorpus:
         same normalized lines, same scores, same verdicts."""
         scenario = evasion_scenario()
         reports = []
-        for config in (None, CanonicalizeConfig(enabled=False)):
+        base = ServingConfig(
+            batch=BatchConfig(max_latency_ms=5), session=SessionConfig(mode="count")
+        )
+        explicit = ServingConfig(
+            batch=base.batch, session=base.session, canonicalize=CanonicalizeConfig(enabled=False)
+        )
+        for config in (base, explicit):
             service = OracleService.for_scenario(scenario)
-            server = DetectionServer(
-                service,
-                max_latency_ms=5,
-                session=SessionConfig(mode="count"),
-                canonicalize=config,
-            )
-            results, server = serve_stream(
-                service, list(scenario.events), concurrency=1, server=server
-            )
+            server = DetectionServer(service, config)
+            results = serve_stream(server, list(scenario.events), concurrency=1)
             reports.append((results, service))
         (absent_results, absent_service), (off_results, off_service) = reports
         assert off_service.scored_batches == absent_service.scored_batches

@@ -8,13 +8,20 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.serving import (
+    BatchConfig,
+    CacheConfig,
+    CanonicalizeConfig,
     CommandEvent,
     DetectionServer,
     RingBufferSink,
+    ServingConfig,
     SessionConfig,
     serve_stream,
 )
 from repro.serving.events import AlertStatus
+
+#: Flush a micro-batch after 5 ms instead of 25.
+FAST = ServingConfig(batch=BatchConfig(max_latency_ms=5))
 
 
 def run(coro):
@@ -26,7 +33,7 @@ class TestSubmitPath:
         ring = RingBufferSink()
 
         async def scenario():
-            async with DetectionServer(stub_service, max_latency_ms=5, sinks=[ring]) as server:
+            async with DetectionServer(stub_service, FAST, sinks=[ring]) as server:
                 return await server.submit("evil --flag", host="web-1")
 
         result = run(scenario())
@@ -37,7 +44,7 @@ class TestSubmitPath:
 
     def test_benign_event_produces_no_alert(self, stub_service):
         async def scenario():
-            async with DetectionServer(stub_service, max_latency_ms=5) as server:
+            async with DetectionServer(stub_service, FAST) as server:
                 return await server.submit("ls -la")
 
         result = run(scenario())
@@ -46,7 +53,7 @@ class TestSubmitPath:
 
     def test_dropped_event_skips_scoring(self, stub_service):
         async def scenario():
-            async with DetectionServer(stub_service, max_latency_ms=5) as server:
+            async with DetectionServer(stub_service, FAST) as server:
                 return await server.submit("echo 'unterminated'")  # stub drops trailing '
 
         result = run(scenario())
@@ -56,7 +63,7 @@ class TestSubmitPath:
 
     def test_normalization_applied_per_event(self, stub_service):
         async def scenario():
-            async with DetectionServer(stub_service, max_latency_ms=5) as server:
+            async with DetectionServer(stub_service, FAST) as server:
                 return await server.submit("  evil    --flag  ")
 
         assert run(scenario()).line == "evil --flag"
@@ -65,7 +72,7 @@ class TestSubmitPath:
 class TestCacheAccounting:
     def test_repeat_line_hits_cache(self, stub_service):
         async def scenario():
-            async with DetectionServer(stub_service, max_latency_ms=5) as server:
+            async with DetectionServer(stub_service, FAST) as server:
                 first = await server.submit("evil --flag")
                 second = await server.submit("evil --flag")
                 return first, second, server
@@ -81,9 +88,8 @@ class TestCacheAccounting:
 
     def test_within_batch_duplicates_scored_once(self, stub_service):
         async def scenario():
-            async with DetectionServer(
-                stub_service, max_batch=8, max_latency_ms=30
-            ) as server:
+            config = ServingConfig(batch=BatchConfig(max_batch=8, max_latency_ms=30))
+            async with DetectionServer(stub_service, config) as server:
                 results = await asyncio.gather(*(server.submit("evil x") for _ in range(6)))
                 return results, server
 
@@ -93,7 +99,8 @@ class TestCacheAccounting:
 
     def test_cache_disabled_scores_every_event(self, stub_service):
         async def scenario():
-            async with DetectionServer(stub_service, cache_size=0, max_latency_ms=5) as server:
+            config = ServingConfig(batch=FAST.batch, cache=CacheConfig(size=0))
+            async with DetectionServer(stub_service, config) as server:
                 await server.submit("ls -la")
                 await server.submit("ls -la")
                 return server
@@ -108,13 +115,11 @@ class TestEscalation:
         ring = RingBufferSink()
 
         async def scenario():
-            async with DetectionServer(
-                stub_service,
-                max_latency_ms=5,
-                sinks=[ring],
-                session_window_seconds=100,
-                escalation_threshold=3,
-            ) as server:
+            config = ServingConfig(
+                batch=FAST.batch,
+                session=SessionConfig(window_seconds=100, escalation_threshold=3),
+            )
+            async with DetectionServer(stub_service, config, sinks=[ring]) as server:
                 for t in range(5):
                     await server.submit("evil burst", host="victim", timestamp=float(t))
                 return server
@@ -133,9 +138,8 @@ class TestSequenceEscalation:
         session = SessionConfig(mode="sequence", escalation_threshold=99)
 
         async def scenario():
-            async with DetectionServer(
-                two_stage_stub, max_latency_ms=5, sinks=[ring], session=session
-            ) as server:
+            config = ServingConfig(batch=FAST.batch, session=session)
+            async with DetectionServer(two_stage_stub, config, sinks=[ring]) as server:
                 first = await server.submit("evil one", host="victim", timestamp=0.0)
                 second = await server.submit("evil two", host="victim", timestamp=10.0)
                 return first, second, server
@@ -158,9 +162,8 @@ class TestSequenceEscalation:
         session = SessionConfig(mode="sequence")
 
         async def scenario():
-            async with DetectionServer(
-                two_stage_stub, max_latency_ms=5, session=session
-            ) as server:
+            config = ServingConfig(batch=FAST.batch, session=session)
+            async with DetectionServer(two_stage_stub, config) as server:
                 for index in range(5):
                     await server.submit(f"ls -la {index}", host="h", timestamp=float(index))
                 return server
@@ -171,7 +174,7 @@ class TestSequenceEscalation:
 
     def test_count_mode_never_invokes_second_stage(self, two_stage_stub):
         async def scenario():
-            async with DetectionServer(two_stage_stub, max_latency_ms=5) as server:
+            async with DetectionServer(two_stage_stub, FAST) as server:
                 await server.submit("evil one", host="h", timestamp=0.0)
                 await server.submit("evil two", host="h", timestamp=1.0)
                 return server
@@ -182,34 +185,32 @@ class TestSequenceEscalation:
 
     def test_sequence_mode_without_head_fails_at_construction(self, stub_service):
         with pytest.raises(ConfigError, match="multi-line head"):
-            DetectionServer(stub_service, session=SessionConfig(mode="sequence"))
+            DetectionServer(stub_service, ServingConfig(session=SessionConfig(mode="sequence")))
 
     def test_composition_skew_against_bundle_meta_warns(self, two_stage_stub):
         two_stage_stub.multiline_composer_meta = {"window": 4, "max_gap_seconds": 120.0}
         with pytest.warns(UserWarning, match="training composer"):
             DetectionServer(
-                two_stage_stub, session=SessionConfig(mode="sequence", context_window=3)
+                two_stage_stub,
+                ServingConfig(session=SessionConfig(mode="sequence", context_window=3)),
             )
         # matching composition (or count mode) stays quiet
         import warnings as warnings_module
 
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("error")
-            DetectionServer(
-                two_stage_stub,
-                session=SessionConfig(
-                    mode="sequence", context_window=4, context_max_gap_seconds=120.0
-                ),
+            matching = SessionConfig(
+                mode="sequence", context_window=4, context_max_gap_seconds=120.0
             )
-            DetectionServer(two_stage_stub, session=SessionConfig(mode="count"))
+            DetectionServer(two_stage_stub, ServingConfig(session=matching))
+            DetectionServer(two_stage_stub, ServingConfig(session=SessionConfig(mode="count")))
 
     def test_swap_refuses_bundle_without_second_stage(self, two_stage_stub, stub_service):
         session = SessionConfig(mode="sequence")
 
         async def scenario():
-            async with DetectionServer(
-                two_stage_stub, max_latency_ms=5, session=session
-            ) as server:
+            config = ServingConfig(batch=FAST.batch, session=session)
+            async with DetectionServer(two_stage_stub, config) as server:
                 with pytest.raises(ConfigError, match="multi-line head"):
                     await server.swap_model(service=stub_service)
                 # the server kept serving on the old two-stage service
@@ -223,19 +224,19 @@ class TestSequenceEscalation:
 class TestServeStream:
     def test_results_in_input_order(self, stub_service):
         events = [CommandEvent(f"cmd-{i}") for i in range(20)]
-        results, _ = serve_stream(stub_service, events, concurrency=4, max_latency_ms=5)
+        results = serve_stream(DetectionServer(stub_service, FAST), events, concurrency=4)
         assert [r.raw_line for r in results] == [f"cmd-{i}" for i in range(20)]
 
     def test_plain_strings_accepted(self, stub_service):
-        results, server = serve_stream(
-            stub_service, ["ls", "evil thing", "ls"], concurrency=2, max_latency_ms=5
-        )
+        server = DetectionServer(stub_service, FAST)
+        results = serve_stream(server, ["ls", "evil thing", "ls"], concurrency=2)
         assert len(results) == 3
         assert server.metrics.alerts == 1
 
     def test_metrics_cover_all_events(self, stub_service):
         events = [CommandEvent("ls")] * 10 + [CommandEvent("bad'")]
-        _, server = serve_stream(stub_service, events, concurrency=3, max_latency_ms=5)
+        server = DetectionServer(stub_service, FAST)
+        serve_stream(server, events, concurrency=3)
         snap = server.metrics.snapshot()
         assert snap["events_total"] == 11
         assert snap["dropped"] == 1
@@ -243,13 +244,13 @@ class TestServeStream:
         assert snap["events_per_second"] > 0
 
     def test_existing_server_reused_for_warm_cache(self, stub_service):
-        server = DetectionServer(stub_service, max_latency_ms=5)
-        serve_stream(stub_service, ["ls -la"] * 4, concurrency=2, server=server)
+        server = DetectionServer(stub_service, FAST)
+        serve_stream(server, ["ls -la"] * 4, concurrency=2)
         hits_after_cold = server.metrics.cache_hits
         misses_after_cold = server.metrics.cache_misses
         assert misses_after_cold >= 1
         # second pass over the same stream: every event is a cache hit
-        serve_stream(stub_service, ["ls -la"] * 4, concurrency=2, server=server)
+        serve_stream(server, ["ls -la"] * 4, concurrency=2)
         assert server.metrics.cache_misses == misses_after_cold
         assert server.metrics.cache_hits == hits_after_cold + 4
         # the throughput clock accumulates active time across both passes
@@ -257,9 +258,10 @@ class TestServeStream:
         assert server.metrics.elapsed_seconds > 0
 
     def test_server_reuse_rejects_conflicting_options(self, stub_service):
-        server = DetectionServer(stub_service, max_latency_ms=5)
-        with pytest.raises(ValueError, match="cache_size"):
-            serve_stream(stub_service, ["ls"], server=server, cache_size=0)
+        server = DetectionServer(stub_service, FAST)
+        # the server's own config is the only policy a drive can use
+        with pytest.raises(TypeError, match="cache_size"):
+            serve_stream(server, ["ls"], cache_size=0)
 
 
 class TestLifecycle:
@@ -270,13 +272,13 @@ class TestLifecycle:
         service and its compiled plan — a cycle through the server would
         keep both (and the plan's scratch) alive.
         """
-        from repro.serving.config import CanonicalizeConfig
         from repro.serving.demo import build_demo_service
 
         service = build_demo_service()
-        server = DetectionServer(
-            service, max_latency_ms=1, canonicalize=CanonicalizeConfig(enabled=True)
+        config = ServingConfig(
+            batch=BatchConfig(max_latency_ms=1), canonicalize=CanonicalizeConfig(enabled=True)
         )
+        server = DetectionServer(service, config)
 
         async def scenario():
             for _ in range(2):  # stop -> start keeps serving

@@ -6,11 +6,14 @@ import asyncio
 import pytest
 
 from repro.serving import (
+    BatchConfig,
     CommandEvent,
     DetectionServer,
     RingBufferSink,
+    ServingConfig,
     ServingMetrics,
     SessionConfig,
+    ShardConfig,
     ShardRouter,
     serve_stream,
 )
@@ -18,6 +21,19 @@ from repro.serving import (
 
 def run(coro):
     return asyncio.run(coro)
+
+
+def fast(shards: int = 1, **sections) -> ServingConfig:
+    """*shards* shards flushing a micro-batch after 5 ms instead of 25."""
+    return ServingConfig(
+        batch=BatchConfig(max_latency_ms=5), shards=ShardConfig(count=shards), **sections
+    )
+
+
+def stream_through(service, config, events, concurrency, sinks=()):
+    """``serve_stream`` over a new server: ``(results, stopped server)``."""
+    server = DetectionServer(service, config, sinks=sinks)
+    return serve_stream(server, events, concurrency=concurrency), server
 
 
 def _stream(hosts=8, per_host=6, repeats=2):
@@ -77,7 +93,7 @@ class TestShardRouter:
 
 class TestShardedServer:
     def test_host_state_is_shard_local(self, stub_service):
-        server = DetectionServer(stub_service, shards=4, max_latency_ms=5)
+        server = DetectionServer(stub_service, fast(4))
 
         async def scenario():
             async with server:
@@ -98,16 +114,12 @@ class TestShardedServer:
 
     def test_event_ids_unique_and_in_submission_order(self, stub_service):
         events = _stream(hosts=6, per_host=4, repeats=1)
-        results, _ = serve_stream(
-            stub_service, events, concurrency=1, shards=3, max_latency_ms=5
-        )
+        results, _ = stream_through(stub_service, fast(3), events, concurrency=1)
         assert [r.event_id for r in results] == list(range(1, len(events) + 1))
 
     def test_alert_ids_unique_across_shards(self, stub_service):
         events = _stream(hosts=6, per_host=6, repeats=1)
-        results, _ = serve_stream(
-            stub_service, events, concurrency=4, shards=3, max_latency_ms=5
-        )
+        results, _ = stream_through(stub_service, fast(3), events, concurrency=4)
         alert_ids = [r.alert.alert_id for r in results if r.alert is not None]
         assert alert_ids
         assert len(alert_ids) == len(set(alert_ids))
@@ -117,12 +129,12 @@ class TestShardedServer:
         """Same stream, same verdicts and escalations — sharding is a
         performance decomposition, not a policy change."""
         events = _stream()
-        session = dict(session_window_seconds=100, escalation_threshold=3)
-        single, single_server = serve_stream(
-            stub_service, events, concurrency=1, max_latency_ms=5, **session
+        session = SessionConfig(window_seconds=100, escalation_threshold=3)
+        single, single_server = stream_through(
+            stub_service, fast(session=session), events, concurrency=1
         )
-        sharded, sharded_server = serve_stream(
-            stub_service, events, concurrency=1, shards=shards, max_latency_ms=5, **session
+        sharded, sharded_server = stream_through(
+            stub_service, fast(shards, session=session), events, concurrency=1
         )
         assert len(sharded) == len(single)
         for a, b in zip(single, sharded):
@@ -142,8 +154,8 @@ class TestShardedServer:
     def test_alert_delivery_has_zero_silent_drops(self, stub_service):
         ring = RingBufferSink(capacity=4096)
         events = _stream()
-        results, server = serve_stream(
-            stub_service, events, concurrency=4, shards=4, max_latency_ms=5, sinks=[ring]
+        results, server = stream_through(
+            stub_service, fast(4), events, concurrency=4, sinks=[ring]
         )
         flagged = sum(r.is_intrusion for r in results)
         assert flagged > 0
@@ -156,7 +168,7 @@ class TestShardedServer:
 
     def test_sequence_mode_runs_on_the_owning_shard(self, two_stage_stub):
         session = SessionConfig(mode="sequence", escalation_threshold=99)
-        server = DetectionServer(two_stage_stub, shards=4, max_latency_ms=5, session=session)
+        server = DetectionServer(two_stage_stub, fast(4, session=session))
 
         async def scenario():
             async with server:
@@ -172,7 +184,7 @@ class TestShardedServer:
     def test_session_view_is_read_only(self, stub_service):
         """Forwarding a mutator to an arbitrary shard would corrupt host
         ownership — the view must refuse, not silently write to shard 0."""
-        server = DetectionServer(stub_service, shards=4)
+        server = DetectionServer(stub_service, ServingConfig(shards=ShardConfig(count=4)))
         view = server.sessions
         with pytest.raises(AttributeError, match="read-only"):
             view.observe("web-7", 0.0, True, line="evil")
@@ -186,7 +198,7 @@ class TestShardedServer:
         """compose_context must answer for a host on ANY shard, not just
         shard 0 (a per-host read routed like session())."""
         session = SessionConfig(mode="sequence", escalation_threshold=99)
-        server = DetectionServer(two_stage_stub, shards=4, max_latency_ms=5, session=session)
+        server = DetectionServer(two_stage_stub, fast(4, session=session))
 
         async def scenario():
             async with server:
@@ -203,7 +215,7 @@ class TestShardedServer:
         assert server.sessions.compose_context("never-seen") is None
 
     def test_cache_and_batcher_accessors_guide_to_shards(self, stub_service):
-        server = DetectionServer(stub_service, shards=2)
+        server = DetectionServer(stub_service, ServingConfig(shards=ShardConfig(count=2)))
         with pytest.raises(AttributeError, match="server.shards"):
             server.cache
         with pytest.raises(AttributeError, match="server.shards"):
@@ -217,7 +229,10 @@ class TestShardedSwap:
     def test_swap_rotates_every_shard_without_mixing_generations(self, stub_service):
         new_service = type(stub_service)()
         events = _stream(hosts=8, per_host=8, repeats=1)
-        server = DetectionServer(stub_service, shards=4, max_batch=8, max_latency_ms=5)
+        config = ServingConfig(
+            batch=BatchConfig(max_batch=8, max_latency_ms=5), shards=ShardConfig(count=4)
+        )
+        server = DetectionServer(stub_service, config)
 
         async def scenario():
             pending = asyncio.Queue()
@@ -256,7 +271,7 @@ class TestShardedSwap:
         assert server.metrics.swaps == 1
 
     def test_swap_purge_counts_every_shard_cache(self, stub_service):
-        server = DetectionServer(stub_service, shards=4, max_latency_ms=5)
+        server = DetectionServer(stub_service, fast(4))
         events = _stream(hosts=8, per_host=4, repeats=1)
 
         async def scenario():
@@ -318,12 +333,8 @@ class TestMetricsMerge:
         """The regression the satellite demands: an N-shard run's merged
         metrics equal the single-shard run's on a host-disjoint stream."""
         events = _stream()
-        _, single = serve_stream(
-            stub_service, events, concurrency=1, max_latency_ms=5
-        )
-        _, sharded = serve_stream(
-            stub_service, events, concurrency=1, shards=shards, max_latency_ms=5
-        )
+        _, single = stream_through(stub_service, fast(), events, concurrency=1)
+        _, sharded = stream_through(stub_service, fast(shards), events, concurrency=1)
         expected = single.metrics
         merged = sharded.metrics
         for counter in (
@@ -342,7 +353,7 @@ class TestMetricsMerge:
         assert merged.batched_events == expected.batched_events
 
     def test_sharded_metrics_property_is_a_snapshot(self, stub_service):
-        server = DetectionServer(stub_service, shards=2)
+        server = DetectionServer(stub_service, ServingConfig(shards=ShardConfig(count=2)))
         snap = server.metrics
         assert snap.shards == 2
         assert snap.events_total == 0

@@ -1,5 +1,4 @@
-"""Tests for alert sinks, the URI registry, fan-out isolation, and the
-severity bands."""
+"""Tests for alert sinks, the URI registry, and the severity bands."""
 
 import json
 
@@ -13,7 +12,6 @@ from repro.serving import (
     JsonlSink,
     RingBufferSink,
     Severity,
-    SinkFanout,
     SinkRegistry,
     TcpSocketSink,
     WebhookSink,
@@ -180,40 +178,6 @@ class TestCallbackSink:
         sink.emit(make_alert())
         assert len(seen) == 1
         assert sink.emitted == 1
-
-
-class TestSinkFanout:
-    def test_delivers_to_all_sinks(self):
-        ring_a, ring_b = RingBufferSink(), RingBufferSink()
-        fanout = SinkFanout([ring_a])
-        fanout.add(ring_b)
-        fanout.emit(make_alert())
-        assert ring_a.emitted == ring_b.emitted == 1
-        assert fanout.delivered == 2
-
-    def test_broken_sink_does_not_block_others(self):
-        def explode(alert):
-            raise OSError("disk full")
-
-        ring = RingBufferSink()
-        fanout = SinkFanout([CallbackSink(explode), ring])
-        fanout.emit(make_alert())
-        fanout.emit(make_alert(alert_id=2))
-        assert ring.emitted == 2
-        assert fanout.failures == {"CallbackSink[0]": 2}
-
-    def test_same_class_sinks_keep_separate_failure_counters(self):
-        def explode(alert):
-            raise OSError("disk full")
-
-        seen = []
-        flaky, healthy = CallbackSink(explode), CallbackSink(seen.append)
-        fanout = SinkFanout([flaky, healthy])
-        fanout.emit(make_alert())
-        fanout.emit(make_alert(alert_id=2))
-        # two sinks of the same class must not share one counter
-        assert fanout.failures == {"CallbackSink[0]": 2}
-        assert len(seen) == 2
 
 
 class TestTcpSocketSinkReconnect:

@@ -13,11 +13,14 @@ import numpy as np
 import pytest
 
 from repro.serving import DetectionServer, ThreadedBackend
-from repro.serving.config import CanonicalizeConfig
+from repro.serving.config import BackendConfig, BatchConfig, CanonicalizeConfig, ServingConfig
 from tests.serving.conftest import NormalizingService
 from tests.serving.test_backends import FixedScoreService
 
 OLD_SCORE, NEW_SCORE = 0.25, 0.75
+
+#: Flush a micro-batch after 5 ms instead of 25.
+FAST = ServingConfig(batch=BatchConfig(max_latency_ms=5))
 
 
 class RecordingService(FixedScoreService):
@@ -52,9 +55,7 @@ class TestSwapBasics:
 
     def test_swap_report_and_metrics(self):
         async def scenario():
-            async with DetectionServer(
-                FixedScoreService(OLD_SCORE), max_latency_ms=5
-            ) as server:
+            async with DetectionServer(FixedScoreService(OLD_SCORE), FAST) as server:
                 before = await server.submit("ls -la")
                 report = await server.swap_model(service=FixedScoreService(NEW_SCORE))
                 after = await server.submit("ls -la")
@@ -70,9 +71,7 @@ class TestSwapBasics:
 
     def test_swap_invalidates_cache(self):
         async def scenario():
-            async with DetectionServer(
-                FixedScoreService(OLD_SCORE), max_latency_ms=5
-            ) as server:
+            async with DetectionServer(FixedScoreService(OLD_SCORE), FAST) as server:
                 first = await server.submit("cat /etc/shadow")
                 repeat = await server.submit("cat /etc/shadow")
                 report = await server.swap_model(service=FixedScoreService(NEW_SCORE))
@@ -89,9 +88,7 @@ class TestSwapBasics:
 
     def test_sequential_swaps_keep_counting(self):
         async def scenario():
-            async with DetectionServer(
-                FixedScoreService(0.1), max_latency_ms=5
-            ) as server:
+            async with DetectionServer(FixedScoreService(0.1), FAST) as server:
                 for index in range(3):
                     await server.swap_model(service=FixedScoreService(0.2 + index / 10))
                 result = await server.submit("ls")
@@ -109,11 +106,10 @@ class TestSwapBasics:
         at_new_cap = "echo 'abcdefghij"  # 16 characters, unterminated quote
 
         async def scenario():
-            async with DetectionServer(
-                NormalizingService(max_length=64),
-                max_latency_ms=5,
-                canonicalize=CanonicalizeConfig(enabled=True),
-            ) as server:
+            config = ServingConfig(
+                batch=FAST.batch, canonicalize=CanonicalizeConfig(enabled=True)
+            )
+            async with DetectionServer(NormalizingService(max_length=64), config) as server:
                 before = [await server.submit(line) for line in (long_line, at_new_cap)]
                 memoized = at_new_cap in server.shards[0].front_memo
                 truncated_before = server.metrics.canonicalize_truncated
@@ -172,9 +168,8 @@ class TestSwapUnderLoad:
         new = RecordingService(NEW_SCORE)
         server = DetectionServer(
             old,
+            ServingConfig(batch=BatchConfig(max_batch=8, max_latency_ms=2)),
             backend=ThreadedBackend(old, workers=2, min_shard=1),
-            max_batch=8,
-            max_latency_ms=2,
         )
         results, report = self._drive(server, {"service": new})
 
@@ -224,9 +219,8 @@ class TestSwapWithRealBundles:
 
         async def scenario():
             # the tape on both sides: the exported service is not compiled
-            async with DetectionServer(
-                demo_service, max_latency_ms=5, compiled=False
-            ) as server:
+            config = ServingConfig(batch=FAST.batch, backend=BackendConfig(compiled=False))
+            async with DetectionServer(demo_service, config) as server:
                 report = await server.swap_model(str(bundle))
                 result = await server.submit("nc -lvnp 4444")
                 return report, result, server

@@ -12,8 +12,11 @@ import os
 import pytest
 import threading
 
-from repro.serving import tail_stream
+from repro.serving import BatchConfig, DetectionServer, ServingConfig, tail_stream
 from repro.serving.cli import parse_event
+
+#: Flush a micro-batch after 5 ms instead of 25.
+FAST = ServingConfig(batch=BatchConfig(max_latency_ms=5))
 
 
 class TestTailStream:
@@ -36,11 +39,11 @@ class TestTailStream:
 
         feeder = threading.Thread(target=feed)
         feeder.start()
-        results, server = tail_stream(
-            stub_service,
+        server = DetectionServer(stub_service, FAST)
+        results = tail_stream(
+            server,
             reader,
             concurrency=2,
-            max_latency_ms=5,
             on_result=lambda result: first_result_seen.set(),
         )
         feeder.join(timeout=10.0)
@@ -65,8 +68,8 @@ class TestTailStream:
         feeder = threading.Thread(target=feed, daemon=True)
         feeder.start()
         try:
-            results, _ = tail_stream(
-                stub_service, reader, concurrency=2, limit=3, max_latency_ms=5
+            results = tail_stream(
+                DetectionServer(stub_service, FAST), reader, concurrency=2, limit=3
             )
         finally:
             try:
@@ -83,8 +86,8 @@ class TestTailStream:
             writer.write('{"line": "evil json", "host": "web-7"}\n')
             writer.write("   \n")
             writer.write("plain line\n")
-        results, _ = tail_stream(
-            stub_service, reader, concurrency=2, parse=parse_event, max_latency_ms=5
+        results = tail_stream(
+            DetectionServer(stub_service, FAST), reader, concurrency=2, parse=parse_event
         )
         assert [(r.raw_line, r.host) for r in results] == [
             ("evil json", "web-7"),
@@ -105,14 +108,14 @@ class TestTailStream:
             return parse_event(text)
 
         with pytest.raises(ValueError, match="unparseable"):
-            tail_stream(stub_service, reader, parse=explosive_parse, max_latency_ms=5)
+            tail_stream(DetectionServer(stub_service, FAST), reader, parse=explosive_parse)
 
     def test_zero_limit_returns_immediately(self, stub_service):
         read_fd, write_fd = os.pipe()
         reader = os.fdopen(read_fd, "r")
         writer = os.fdopen(write_fd, "w")
         try:
-            results, _ = tail_stream(stub_service, reader, limit=0, max_latency_ms=5)
+            results = tail_stream(DetectionServer(stub_service, FAST), reader, limit=0)
             assert results == []
         finally:
             writer.close()
